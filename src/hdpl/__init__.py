@@ -39,7 +39,6 @@ from .kripke import (
     is_rooted,
     load_model,
     load_pointed,
-    pointed,
     reduct,
 )
 from .checker import game_property, satisfies

@@ -3,14 +3,7 @@ agreement between two pointed models."""
 
 from __future__ import annotations
 
-from .kripke import (
-    KripkeModel,
-    PointedModel,
-    expand,
-    interpret_action,
-    successor_map,
-    var_fingerprint,
-)
+from .kripke import PointedModel, Successors
 from .syntax import (
     And,
     At,
@@ -22,7 +15,6 @@ from .syntax import (
     Prop,
     Sentence,
     Store,
-    basic_sentences,
     check_sentence,
 )
 
@@ -34,67 +26,57 @@ class SignatureMismatchError(HdplError):
 def satisfies(pm: PointedModel, s: Sentence) -> bool:
     """Decide whether the pointed model satisfies the sentence.
 
-    Memoizes subterm results per (subterm, state, expansion) so shared
-    subterms of large sentences are evaluated once; semantically this is the
-    plain recursive satisfaction relation.
+    The binders of `s` extend an environment, the (variable, state) pairs
+    bound on the way down, instead of expanding the model. Subterm results
+    are memoized per (subterm, state, environment), so shared subterms are
+    evaluated once; semantically this is the plain recursive satisfaction.
     """
-    check_sentence(s, pm.model.sig)
+    m = pm.model
+    check_sentence(s, m.sig)
+    base = m.nominal_interp  # covers the signature's own bound variables
+    succ = Successors(m)
     memo: dict[tuple, bool] = {}
-    succs: dict[int, dict[str, tuple[str, ...]]] = {}
 
-    def successors(m: KripkeModel, action) -> dict[str, tuple[str, ...]]:
-        # expansions never change relations, so keying on the action suffices
-        got = succs.get(id(action))
-        if got is None:
-            got = successor_map(interpret_action(m, action), m.states)
-            succs[id(action)] = got
-        return got
+    def point(name: str, env: tuple) -> str:
+        got = base.get(name)
+        return got if got is not None else dict(env)[name]
 
-    def ev(m: KripkeModel, w: str, t: Sentence) -> bool:
-        key = (id(t), w, var_fingerprint(m))
+    def ev(w: str, env: tuple, t: Sentence) -> bool:
+        key = (id(t), w, env)
         got = memo.get(key)
         if got is not None:
             return got
         if isinstance(t, Prop):
             res = t.name in m.valuation[w]
         elif isinstance(t, Nom):
-            res = m.nominal_interp[t.name] == w
+            res = point(t.name, env) == w
         elif isinstance(t, And):
-            res = all(ev(m, w, i) for i in t.items)
+            res = all(ev(w, env, i) for i in t.items)
         elif isinstance(t, Neg):
-            res = not ev(m, w, t.body)
+            res = not ev(w, env, t.body)
         elif isinstance(t, Dia):
-            res = any(ev(m, v, t.body) for v in successors(m, t.action)[w])
+            res = any(ev(v, env, t.body) for v in succ[t.action][w])
         elif isinstance(t, At):
-            res = ev(m, m.nominal_interp[t.name], t.body)
+            res = ev(point(t.name, env), env, t.body)
         elif isinstance(t, Store):
-            res = ev(expand(m, t.var, w), w, t.body)
+            res = ev(w, env + ((t.var, w),), t.body)
         elif isinstance(t, Exists):
-            res = any(ev(expand(m, t.var, v), w, t.body) for v in m.states)
+            res = any(ev(w, env + ((t.var, v),), t.body) for v in m.states)
         else:
             raise TypeError(f"not a sentence: {t!r}")
         memo[key] = res
         return res
 
-    return ev(pm.model, pm.current, s)
-
-
-def satisfies_basic(pm: PointedModel, b: Sentence) -> bool:
-    if isinstance(b, Prop):
-        return b.name in pm.model.valuation[pm.current]
-    if isinstance(b, Nom):
-        return pm.model.nominal_interp[b.name] == pm.current
-    raise TypeError(f"not a basic sentence: {b!r}")
+    return ev(pm.current, (), s)
 
 
 def game_property(pmL: PointedModel, pmR: PointedModel) -> bool:
     """True iff the two pointed models agree on every basic sentence: every
     prop at the current state, and every nominal/variable equation."""
-    if pmL.model.sig != pmR.model.sig:
-        raise SignatureMismatchError(
-            f"signatures differ: {pmL.model.sig} vs {pmR.model.sig}"
-        )
-    for b in basic_sentences(pmL.model.sig):
-        if satisfies_basic(pmL, b) != satisfies_basic(pmR, b):
-            return False
-    return True
+    mL, mR = pmL.model, pmR.model
+    if mL.sig != mR.sig:
+        raise SignatureMismatchError(f"signatures differ: {mL.sig} vs {mR.sig}")
+    w, v = pmL.current, pmR.current
+    return mL.valuation[w] == mR.valuation[v] and all(
+        (mL.nominal_interp[x] == w) == (mR.nominal_interp[x] == v) for x in mL.sig.point_names()
+    )

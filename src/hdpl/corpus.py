@@ -149,7 +149,10 @@ def random_tree(
                 kinds.append("exists")
             kind = rng.choice(kinds)
             if kind == "idle":
-                children.append((IdleEdge(), build(scope, height - 1)))
+                edge = (IdleEdge(), build(scope, height - 1))
+                if edge in children:
+                    continue
+                children.append(edge)
             elif kind == "dia":
                 a = rng.choice(actions)
                 if a in used_dia:

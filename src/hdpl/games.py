@@ -9,7 +9,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .checker import SignatureMismatchError, game_property, satisfies_basic
+from .checker import SignatureMismatchError, game_property
 from .gameboard import (
     AtEdge,
     DiaEdge,
@@ -20,14 +20,7 @@ from .gameboard import (
     edge_text,
     leaf,
 )
-from .kripke import (
-    KripkeModel,
-    PointedModel,
-    expand,
-    interpret_action,
-    successor_map,
-    var_fingerprint,
-)
+from .kripke import KripkeModel, PointedModel, Successors, expand, interpret_action
 from .syntax import (
     Action,
     And,
@@ -184,56 +177,64 @@ def _new_var(child: GameboardTree) -> str:
     return child.sig.bound_vars[-1]
 
 
+def _point(m: KripkeModel, node: GameboardTree, env: tuple[str, ...], name: str) -> str:
+    """The state a name of `node.sig` denotes: the base model interprets the
+    root signature (its bound variables too), `env` the variables bound by the
+    store and exists edges above `node`, one state each, in order."""
+    got = m.nominal_interp.get(name)
+    if got is None:
+        bound = node.sig.bound_vars
+        got = env[len(env) - len(bound) + bound.index(name)]
+    return got
+
+
 def char_formula(tr: GameboardTree, pm: PointedModel) -> GameSentence:
     """The unique game sentence over `tr` the pointed model satisfies, built
-    constructively with shared sub-results."""
-    if pm.model.sig != tr.sig:
+    constructively with shared sub-results. A store or exists edge binds its
+    variable by appending a state to the environment (see `_point`), not by
+    expanding the model."""
+    m = pm.model
+    if m.sig != tr.sig:
         raise SignatureMismatchError("model signature differs from tree root signature")
+    succ = Successors(m)
     memo: dict[tuple, GameSentence] = {}
-    succs: dict[int, dict[str, tuple[str, ...]]] = {}
+    basics: dict[int, tuple[Sentence, ...]] = {}
 
-    def successors(node_action, m: KripkeModel) -> dict[str, tuple[str, ...]]:
-        # relations never change under expansion: one map per action suffices
-        got = succs.get(id(node_action))
-        if got is None:
-            got = successor_map(interpret_action(m, node_action), m.states)
-            succs[id(node_action)] = got
-        return got
-
-    def char(node: GameboardTree, m: KripkeModel, w: str) -> GameSentence:
-        key = (id(node), w, var_fingerprint(m))
+    def char(node: GameboardTree, w: str, env: tuple[str, ...]) -> GameSentence:
+        key = (id(node), w, env)
         got = memo.get(key)
         if got is not None:
             return got
         if not node.children:
-            pmw = PointedModel(m, w)
+            bs = basics.get(id(node)) or basics.setdefault(id(node), basic_sentences(node.sig))
             res: GameSentence = GSLeaf(
-                tuple((b, satisfies_basic(pmw, b)) for b in basic_sentences(node.sig))
+                tuple(
+                    (b, _point(m, node, env, b.name) == w if isinstance(b, Nom) else b.name in m.valuation[w])
+                    for b in bs
+                )
             )
         else:
             parts: list[GSPart] = []
             for label, child in node.children:
                 if isinstance(label, DiaEdge):
-                    members = [char(child, m, v) for v in successors(label.action, m)[w]]
+                    members = [char(child, v, env) for v in succ[label.action][w]]
                     parts.append(GSDia(label.action, gs_set(members)))
                 elif isinstance(label, AtEdge):
-                    parts.append(GSAt(label.name, char(child, m, m.nominal_interp[label.name])))
+                    parts.append(GSAt(label.name, char(child, _point(m, node, env, label.name), env)))
                 elif isinstance(label, StoreEdge):
-                    x = _new_var(child)
-                    parts.append(GSStore(x, char(child, expand(m, x, w), w)))
+                    parts.append(GSStore(_new_var(child), char(child, w, env + (w,))))
                 elif isinstance(label, ExistsEdge):
-                    x = _new_var(child)
-                    members = [char(child, expand(m, x, v), w) for v in m.states]
-                    parts.append(GSExists(x, gs_set(members)))
+                    members = [char(child, w, env + (v,)) for v in m.states]
+                    parts.append(GSExists(_new_var(child), gs_set(members)))
                 elif isinstance(label, IdleEdge):
-                    parts.append(GSIdle(char(child, m, w)))
+                    parts.append(GSIdle(char(child, w, env)))
                 else:
                     raise TypeError(f"not an edge label: {label!r}")
             res = GSNode(tuple(parts))
         memo[key] = res
         return res
 
-    return char(tr, pm.model, pm.current)
+    return char(tr, pm.current, ())
 
 
 # ---------------------------------------------------------------------------
@@ -328,96 +329,96 @@ def ef_solve(tr: GameboardTree, left: PointedModel, right: PointedModel) -> EfRe
     """Decide the game on `tr`: the survivor player wins iff the basic-sentence
     property holds now and every challenger option on either model has a
     matching answer on the other. On a challenger win the trace is a
-    replayable move list ending in a property violation."""
-    if left.model.sig != tr.sig or right.model.sig != tr.sig:
+    replayable move list ending in a property violation.
+
+    A position is (node, left state, left environment, right state, right
+    environment) over the two base models; a store or exists round appends
+    the bound states to the environments (see `_point`)."""
+    Lm, Rm = left.model, right.model
+    if Lm.sig != tr.sig or Rm.sig != tr.sig:
         raise SignatureMismatchError("both models must share the tree root signature")
+    sl, sr = Successors(Lm), Successors(Rm)
 
-    win_memo: dict[tuple, bool] = {}
-    succs: dict[tuple[int, bool], dict[str, tuple[str, ...]]] = {}
+    # the basic sentences of the root signature each state satisfies: its
+    # props and which root names denote it; the environments cover the rest
+    names = tr.sig.point_names()
+    bl, br = (
+        {w: (m.valuation[w], tuple(m.nominal_interp[x] == w for x in names)) for w in m.states}
+        for m in (Lm, Rm)
+    )
 
-    def successors(action, m: KripkeModel, left_side: bool) -> dict[str, tuple[str, ...]]:
-        # relations never change under expansion, so one map per action and
-        # side covers every expansion of that side's model
-        key = (id(action), left_side)
-        got = succs.get(key)
-        if got is None:
-            got = successor_map(interpret_action(m, action), m.states)
-            succs[key] = got
-        return got
-
-    def agree(Lm, Lw, Rm, Rv) -> bool:
-        if Lm.valuation[Lw] != Rm.valuation[Rv]:
+    def agree(Lw, Lenv, Rv, Renv) -> bool:
+        if bl[Lw] != br[Rv]:
             return False
-        for name in Lm.sig.point_names():
-            if (Lm.nominal_interp[name] == Lw) != (Rm.nominal_interp[name] == Rv):
+        for a, b in zip(Lenv, Renv):
+            if (a == Lw) != (b == Rv):
                 return False
         return True
 
-    def options(node, Lm, Lw, Rm, Rv):
+    def options(node, Lw, Lenv, Rv, Renv):
         """Yield (edge_index, label, side, target, replies) per challenger
         option; replies are the full positions the answer may reach."""
         for i, (label, child) in enumerate(node.children):
             if isinstance(label, DiaEdge):
-                sl = successors(label.action, Lm, True)
-                sr = successors(label.action, Rm, False)
-                for w2 in sl[Lw]:
-                    yield i, label, "left", w2, [(child, Lm, w2, Rm, v2) for v2 in sr[Rv]]
-                for v2 in sr[Rv]:
-                    yield i, label, "right", v2, [(child, Lm, w2, Rm, v2) for w2 in sl[Lw]]
+                ls, rs = sl[label.action][Lw], sr[label.action][Rv]
+                for w2 in ls:
+                    yield i, label, "left", w2, [(child, w2, Lenv, v2, Renv) for v2 in rs]
+                for v2 in rs:
+                    yield i, label, "right", v2, [(child, w2, Lenv, v2, Renv) for w2 in ls]
             elif isinstance(label, AtEdge):
                 yield i, label, None, None, [
-                    (child, Lm, Lm.nominal_interp[label.name], Rm, Rm.nominal_interp[label.name])
+                    (child, _point(Lm, node, Lenv, label.name), Lenv,
+                     _point(Rm, node, Renv, label.name), Renv)
                 ]
             elif isinstance(label, StoreEdge):
-                x = _new_var(child)
-                yield i, label, None, None, [(child, expand(Lm, x, Lw), Lw, expand(Rm, x, Rv), Rv)]
+                yield i, label, None, None, [(child, Lw, Lenv + (Lw,), Rv, Renv + (Rv,))]
             elif isinstance(label, ExistsEdge):
-                x = _new_var(child)
                 for w1 in Lm.states:
                     yield i, label, "left", w1, [
-                        (child, expand(Lm, x, w1), Lw, expand(Rm, x, v1), Rv) for v1 in Rm.states
+                        (child, Lw, Lenv + (w1,), Rv, Renv + (v1,)) for v1 in Rm.states
                     ]
                 for v1 in Rm.states:
                     yield i, label, "right", v1, [
-                        (child, expand(Lm, x, w1), Lw, expand(Rm, x, v1), Rv) for w1 in Lm.states
+                        (child, Lw, Lenv + (w1,), Rv, Renv + (v1,)) for w1 in Lm.states
                     ]
             elif isinstance(label, IdleEdge):
-                yield i, label, None, None, [(child, Lm, Lw, Rm, Rv)]
+                yield i, label, None, None, [(child, Lw, Lenv, Rv, Renv)]
             else:
                 raise TypeError(f"not an edge label: {label!r}")
 
-    def win(node, Lm, Lw, Rm, Rv) -> bool:
-        key = (id(node), Lw, var_fingerprint(Lm), Rv, var_fingerprint(Rm))
+    win_memo: dict[tuple, bool] = {}
+
+    def win(node, Lw, Lenv, Rv, Renv) -> bool:
+        key = (id(node), Lw, Lenv, Rv, Renv)
         got = win_memo.get(key)
-        if got is not None:
-            return got
-        if not agree(Lm, Lw, Rm, Rv):
-            win_memo[key] = False
-            return False
-        res = all(
-            any(win(*reply) for reply in replies)
-            for _, _, _, _, replies in options(node, Lm, Lw, Rm, Rv)
-        )
-        win_memo[key] = res
-        return res
+        if got is None:
+            got = win_memo[key] = agree(Lw, Lenv, Rv, Renv) and all(
+                any(win(*reply) for reply in replies)
+                for _, _, _, _, replies in options(node, Lw, Lenv, Rv, Renv)
+            )
+        return got
 
     def reply_target(label, reply, side):
         # recover the answering player's choice from a reply position
         if side is None:
             return None
-        _, rLm, rLw, rRm, rRv = reply
+        _, rLw, rLenv, rRv, rRenv = reply
         if isinstance(label, DiaEdge):
             return rRv if side == "left" else rLw
-        x = rLm.sig.bound_vars[-1]
-        return rRm.nominal_interp[x] if side == "left" else rLm.nominal_interp[x]
+        return rRenv[-1] if side == "left" else rLenv[-1]
 
-    def loss(node, Lm, Lw, Rm, Rv) -> tuple[int, list[TraceStep]]:
+    loss_memo: dict[tuple, tuple[int, list[TraceStep]]] = {}
+
+    def loss(node, Lw, Lenv, Rv, Renv) -> tuple[int, list[TraceStep]]:
         """Minimal forced-loss depth and one best-resistance losing line, for
         positions the survivor has already lost."""
-        if not agree(Lm, Lw, Rm, Rv):
+        if not agree(Lw, Lenv, Rv, Renv):
             return 0, []
-        best: tuple[int, list[TraceStep]] | None = None
-        for i, label, side, target, replies in options(node, Lm, Lw, Rm, Rv):
+        key = (id(node), Lw, Lenv, Rv, Renv)
+        best = loss_memo.get(key)
+        if best is not None:
+            return best
+        for i, label, side, target, replies in options(node, Lw, Lenv, Rv, Renv):
             if any(win(*reply) for reply in replies):
                 continue
             if not replies:
@@ -431,11 +432,13 @@ def ef_solve(tr: GameboardTree, left: PointedModel, right: PointedModel) -> EfRe
             if best is None or cand[0] < best[0]:
                 best = cand
         assert best is not None, "loss() called on a winning position"
+        loss_memo[key] = best
         return best
 
-    if win(tr, left.model, left.current, right.model, right.current):
+    root = (tr, left.current, (), right.current, ())
+    if win(*root):
         return EfResult("eloise")
-    depth, trace = loss(tr, left.model, left.current, right.model, right.current)
+    depth, trace = loss(*root)
     return EfResult("abelard", tuple(trace), depth)
 
 

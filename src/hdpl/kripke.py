@@ -81,7 +81,7 @@ class KripkeModel:
         object.__setattr__(self, "valuation", val)
 
     def __hash__(self):  # pragma: no cover - models are not meant to be hashed
-        raise TypeError("KripkeModel is not hashable; use var_fingerprint/state keys")
+        raise TypeError("KripkeModel is not hashable; key on states instead")
 
 
 @dataclass(frozen=True, eq=True)
@@ -95,16 +95,6 @@ class PointedModel:
 
     def __hash__(self):  # pragma: no cover
         raise TypeError("PointedModel is not hashable")
-
-
-def pointed(m: KripkeModel, w: str) -> PointedModel:
-    return PointedModel(m, w)
-
-
-def var_fingerprint(m: KripkeModel) -> tuple[tuple[str, str], ...]:
-    """Interpretation of the bound variables, in extension order; identifies
-    an expansion of a fixed base model."""
-    return tuple((x, m.nominal_interp[x]) for x in m.sig.bound_vars)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +144,19 @@ def successor_map(pairs: frozenset[StatePair], states: tuple[str, ...]) -> dict[
         by_src[a].append(b)
     order = {w: i for i, w in enumerate(states)}
     return {w: tuple(sorted(vs, key=order.__getitem__)) for w, vs in by_src.items()}
+
+
+class Successors(dict):
+    """The successor map of each action in one model, built on first use. One
+    serves a whole evaluation: binding a variable never changes the relations."""
+
+    def __init__(self, m: KripkeModel):
+        super().__init__()
+        self.model = m
+
+    def __missing__(self, action: Action) -> dict[str, tuple[str, ...]]:
+        got = self[action] = successor_map(interpret_action(self.model, action), self.model.states)
+        return got
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +311,6 @@ def is_rooted(pm: PointedModel) -> bool:
     return len(seen) == len(m.states)
 
 
-def image_finite(m: KripkeModel) -> bool:
-    """Trivially true on finite models; exposed for API symmetry."""
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Random generation
 
@@ -365,19 +363,25 @@ def generate_random_rooted_model(seed, n_states: int, edge_density: float, sig: 
 
 
 def model_from_dict(d: dict) -> KripkeModel:
-    sig = Signature(
-        nominals=tuple(d.get("nominals", {})),
-        relations=tuple(d.get("relations", {})),
-        props=tuple(d.get("props", {})),
-    )
-    states = tuple(d["states"])
-    rels = {r: frozenset(tuple(p) for p in pairs) for r, pairs in d.get("relations", {}).items()}
-    prop_map = d.get("props", {})
-    val = {
-        w: frozenset(p for p, holders in prop_map.items() if w in holders)
-        for w in states
-    }
-    return KripkeModel(sig, states, dict(d.get("nominals", {})), rels, val)
+    """Build a model from its JSON form; ModelError if the input lacks that form."""
+    try:
+        sig = Signature(
+            nominals=tuple(d.get("nominals", {})),
+            relations=tuple(d.get("relations", {})),
+            props=tuple(d.get("props", {})),
+        )
+        states = tuple(d["states"])
+        rels = {r: frozenset(tuple(p) for p in pairs) for r, pairs in d.get("relations", {}).items()}
+        prop_map = d.get("props", {})
+        val = {
+            w: frozenset(p for p, holders in prop_map.items() if w in holders)
+            for w in states
+        }
+        return KripkeModel(sig, states, dict(d.get("nominals", {})), rels, val)
+    except KeyError as exc:
+        raise ModelError(f"model has no {exc} entry") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ModelError(f"malformed model: {exc}") from None
 
 
 def model_to_dict(m: KripkeModel) -> dict:
@@ -391,7 +395,11 @@ def model_to_dict(m: KripkeModel) -> dict:
 
 def load_model(path: str | Path) -> KripkeModel:
     with open(path) as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            d = json.load(fh)
+        except ValueError as exc:
+            raise ModelError(f"{path} is not valid JSON: {exc}") from None
+    return model_from_dict(d)
 
 
 def load_pointed(ref: str) -> PointedModel:

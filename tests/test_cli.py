@@ -251,3 +251,20 @@ class TestErrors:
             ["check", "--model", str(demo_dir / "loop.json"), "--state", "zz", "--formula", "p"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"states": ["0"], "relations": {"l": [["0", "0"]]', "is not valid JSON"),
+            ('{"relations": {"l": []}, "props": {"p": []}}', "model has no 'states' entry"),
+        ],
+        ids=["malformed-json", "no-states"],
+    )
+    def test_bad_model_file_exit_two(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code = main(["check", "--model", str(path), "--state", "0", "--formula", "p"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert len(err.strip().splitlines()) == 1

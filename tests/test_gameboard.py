@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hdpl import fixtures as fx
-from hdpl.corpus import FRAGMENTS, random_tree, small_signature
+from hdpl.corpus import FRAGMENTS, default_actions, random_tree, small_signature
 from hdpl.gameboard import (
     AtEdge,
     DiaEdge,
@@ -21,6 +21,7 @@ from hdpl.gameboard import (
     tree_height,
     validate_tree,
 )
+from hdpl.kripke import generate_random_model
 from hdpl.syntax import FragmentConfig, ParseError, Rel, Signature, Star, extend_signature
 
 SIG = fx.SIG_P
@@ -175,3 +176,22 @@ class TestSignatureAnnotations:
                         walk(child, expected_sig)
 
             walk(tr, sig)
+
+
+def test_random_trees_are_valid_at_criterion_1_seed():
+    """Every tree acceptance criterion 1 draws (seed 101, 500 per fragment)
+    passes validation: no two idle siblings carry the same subtree."""
+    rng = random.Random(101)
+    invalid = []
+    for f in FRAGMENTS:
+        actions = default_actions(f)
+        for _ in range(500):
+            sig = small_signature(rng)
+            tr = random_tree(rng, sig, f, actions, theta_cap=512)
+            # the model draws of criterion 1, so the trees stay the same
+            m = generate_random_model(rng.randrange(2**30), rng.randint(1, 5), rng.random(), sig)
+            rng.choice(m.states)
+            report = validate_tree(tr, f)
+            if not report.ok:
+                invalid.append(str(report))
+    assert not invalid, f"{len(invalid)} invalid trees, first: {invalid[0]}"

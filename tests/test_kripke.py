@@ -11,7 +11,6 @@ from hdpl.kripke import (
     find_isomorphism,
     generate_random_model,
     generate_random_rooted_model,
-    image_finite,
     interpret_action,
     is_rooted,
     model_from_dict,
@@ -170,9 +169,6 @@ class TestRandomModels:
         m = generate_random_model(1, 3, 1.0, SIG)
         assert len(m.relation_interp["l"]) == 9
         assert all(ps == frozenset({"p"}) for ps in m.valuation.values())
-
-    def test_image_finite_trivially_true(self):
-        assert image_finite(generate_random_model(0, 3, 0.5, SIG))
 
 
 class TestModelIO:
