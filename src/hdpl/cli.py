@@ -36,6 +36,7 @@ from .games import (
 )
 from .gameboard import complete_tree, parse_tree, print_tree, validate_tree
 from .kripke import (
+    ModelError,
     PointedModel,
     find_isomorphism,
     load_model,
@@ -51,7 +52,7 @@ from .omega import (
     rooted_iso_check,
 )
 from .seqgame import seq_survives
-from .syntax import FragmentConfig, HdplError, Rel, Signature, parse_action, parse_sentence, print_sentence
+from .syntax import FragmentConfig, HdplError, Signature, parse_action, parse_sentence, print_sentence
 
 
 def _read_formula(arg: str) -> str:
@@ -76,7 +77,11 @@ def _fragment(args) -> FragmentConfig:
 
 def _load_sig(path: str) -> Signature:
     with open(path) as fh:
-        return Signature.from_dict(json.load(fh))
+        try:
+            d = json.load(fh)
+        except ValueError as exc:
+            raise ModelError(f"{path} is not valid JSON: {exc}") from None
+    return Signature.from_dict(d)
 
 
 def _emit(args, data: dict, text: str):
@@ -529,6 +534,9 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nests too deeply", file=sys.stderr)
         return 2
 
 

@@ -101,8 +101,8 @@ class PointedModel:
 # Action interpretation
 
 
-def _star(pairs: frozenset[StatePair], states: tuple[str, ...]) -> frozenset[StatePair]:
-    # reflexive-transitive closure by iterated squaring over the finite pair set
+def star_pairs(pairs: frozenset[StatePair], states: tuple[str, ...]) -> frozenset[StatePair]:
+    """Reflexive-transitive closure, by iterated squaring over the finite pair set."""
     closure = set(pairs)
     closure.update((w, w) for w in states)
     while True:
@@ -118,6 +118,14 @@ def _star(pairs: frozenset[StatePair], states: tuple[str, ...]) -> frozenset[Sta
         closure = new
 
 
+def comp_pairs(left: frozenset[StatePair], right: frozenset[StatePair]) -> frozenset[StatePair]:
+    """Relational composition: left, then right."""
+    by_src: dict[str, list[str]] = {}
+    for b, c in right:
+        by_src.setdefault(b, []).append(c)
+    return frozenset((w, c) for w, b in left for c in by_src.get(b, ()))
+
+
 def interpret_action(m: KripkeModel, a: Action) -> frozenset[StatePair]:
     """The accessibility relation an action denotes in a model."""
     if isinstance(a, Rel):
@@ -127,14 +135,9 @@ def interpret_action(m: KripkeModel, a: Action) -> frozenset[StatePair]:
     if isinstance(a, Union):
         return interpret_action(m, a.left) | interpret_action(m, a.right)
     if isinstance(a, Comp):
-        left = interpret_action(m, a.left)
-        right = interpret_action(m, a.right)
-        by_src: dict[str, list[str]] = {}
-        for b, c in right:
-            by_src.setdefault(b, []).append(c)
-        return frozenset((w, c) for w, b in left for c in by_src.get(b, ()))
+        return comp_pairs(interpret_action(m, a.left), interpret_action(m, a.right))
     if isinstance(a, Star):
-        return _star(interpret_action(m, a.body), m.states)
+        return star_pairs(interpret_action(m, a.body), m.states)
     raise TypeError(f"not an action: {a!r}")
 
 

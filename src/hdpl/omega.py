@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .checker import SignatureMismatchError
 from .gameboard import complete_tree
@@ -20,8 +21,10 @@ from .games import char_formula
 from .kripke import (
     KripkeModel,
     PointedModel,
+    comp_pairs,
     find_isomorphism,
     is_rooted,
+    star_pairs,
     successor_map,
 )
 from .syntax import (
@@ -61,30 +64,6 @@ class ActionPair:
     right: frozenset[Pair]
 
 
-def _star_pairs(pairs: frozenset[Pair], states: tuple[str, ...]) -> frozenset[Pair]:
-    closure = set(pairs)
-    closure.update((w, w) for w in states)
-    changed = True
-    while changed:
-        changed = False
-        by_src: dict[str, list[str]] = {}
-        for a, b in closure:
-            by_src.setdefault(a, []).append(b)
-        for a, b in list(closure):
-            for c in by_src.get(b, ()):
-                if (a, c) not in closure:
-                    closure.add((a, c))
-                    changed = True
-    return frozenset(closure)
-
-
-def _comp_pairs(left: frozenset[Pair], right: frozenset[Pair]) -> frozenset[Pair]:
-    by_src: dict[str, list[str]] = {}
-    for b, c in right:
-        by_src.setdefault(b, []).append(c)
-    return frozenset((a, c) for a, b in left for c in by_src.get(b, ()))
-
-
 def action_pair_closure(
     m: KripkeModel,
     n: KripkeModel,
@@ -117,7 +96,7 @@ def action_pair_closure(
         snapshot = list(items)
         if "star" in ctors:
             for p in snapshot:
-                if add(Star(p.term), _star_pairs(p.left, m.states), _star_pairs(p.right, n.states)):
+                if add(Star(p.term), star_pairs(p.left, m.states), star_pairs(p.right, n.states)):
                     changed = True
         if "union" in ctors:
             for p, q in itertools.product(snapshot, snapshot):
@@ -125,13 +104,24 @@ def action_pair_closure(
                     changed = True
         if "comp" in ctors:
             for p, q in itertools.product(snapshot, snapshot):
-                if add(Comp(p.term, q.term), _comp_pairs(p.left, q.left), _comp_pairs(p.right, q.right)):
+                if add(Comp(p.term, q.term), comp_pairs(p.left, q.left), comp_pairs(p.right, q.right)):
                     changed = True
     return items
 
 
 # ---------------------------------------------------------------------------
 # The arena and the safety solver
+
+
+def basic_agreement(m: KripkeModel, n: KripkeModel) -> dict[Pair, bool]:
+    """Whether each left/right pair of states satisfies the same basic
+    sentences: the same propositions and the same nominals."""
+    return {
+        (w, v): m.valuation[w] == n.valuation[v]
+        and all((m.nominal_interp[k] == w) == (n.nominal_interp[k] == v) for k in m.sig.nominals)
+        for w in m.states
+        for v in n.states
+    }
 
 
 class _Arena:
@@ -143,14 +133,7 @@ class _Arena:
         self.frag = frag
         self.m = m
         self.n = n
-        self.agree: dict[Pair, bool] = {}
-        for w in m.states:
-            for v in n.states:
-                ok = m.valuation[w] == n.valuation[v] and all(
-                    (m.nominal_interp[k] == w) == (n.nominal_interp[k] == v)
-                    for k in m.sig.nominals
-                )
-                self.agree[(w, v)] = ok
+        self.agree = basic_agreement(m, n)
         self.nominal_pairs = [
             (m.nominal_interp[k], n.nominal_interp[k]) for k in m.sig.nominals
         ]
@@ -612,134 +595,138 @@ def partial_iso_from_tuple(m: KripkeModel, n: KripkeModel, entry: Entry) -> Part
 @dataclass
 class BackAndForthSystem:
     """The maximal family of basic partial isomorphisms closed under the
-    extension clauses the fragment enables; possibly empty."""
+    extension clauses the fragment enables; possibly empty. It keeps the maps
+    as the integer codes of `max_back_and_forth` over the states `left` and
+    `right`, and decodes `maps` on first use."""
 
-    maps: frozenset[PartialMap]
+    codes: frozenset[int]
     frag: FragmentConfig
+    left: tuple[str, ...]
+    right: tuple[str, ...]
+
+    @cached_property
+    def maps(self) -> frozenset[PartialMap]:
+        base = len(self.right) + 1
+        digits = [[code // base**i % base for i in range(len(self.left))] for code in self.codes]
+        return frozenset(frozenset((w, self.right[d - 1]) for w, d in zip(self.left, ds) if d) for ds in digits)
 
     def relates(self, w: str, v: str) -> bool:
-        return any((w, v) in h for h in self.maps)
+        # the family is subset-closed, so it relates (w, v) iff it holds {(w, v)}
+        if w not in self.left or v not in self.right:
+            return False
+        return (self.right.index(v) + 1) * (len(self.right) + 1) ** self.left.index(w) in self.codes
 
     def __len__(self):
-        return len(self.maps)
+        return len(self.codes)
 
 
 def max_back_and_forth(frag: FragmentConfig, m: KripkeModel, n: KripkeModel) -> BackAndForthSystem:
-    """Greatest fixpoint: start from every basic-sentence-preserving injective
-    partial map (including the empty one) and delete maps lacking a required
-    extension inside the surviving family, until stable. The survivors form
-    the union of all back-and-forth systems between the models."""
+    """Greatest fixpoint of the fragment's extension clauses over every
+    basic-sentence-preserving injective partial map (including the empty
+    one): the union of all back-and-forth systems between the models.
+
+    With states indexed in model order, a map's code is the integer whose
+    base-(|N|+1) digit i is 1 + the image of left state i, or 0 when i is
+    unmapped. A clause on a map is met by the map itself or by a one-step
+    extension, whose code adds (u+1) * base**i and so is larger. One pass in
+    decreasing code order thus decides each map once, against survivors
+    already decided. A sum that maps two states to u codes no enumerated
+    map, so it is never a survivor."""
     if m.sig != n.sig:
         raise SignatureMismatchError("models must share a signature")
-    agree = {
-        (w, v): m.valuation[w] == n.valuation[v]
-        and all((m.nominal_interp[k] == w) == (n.nominal_interp[k] == v) for k in m.sig.nominals)
-        for w in m.states
-        for v in n.states
-    }
+    left, right = m.states, n.states
+    lidx = {w: i for i, w in enumerate(left)}
+    ridx = {v: u for u, v in enumerate(right)}
+    weight = [(len(right) + 1) ** i for i in range(len(left))]
+    agree = basic_agreement(m, n)
+    partners = [[u for u, v in enumerate(right) if agree[(w, v)]] for w in left]
+    # ext[i]: what adding (i, u) adds to a code, per partner u of left state i
+    ext = [[(u + 1) * weight[i] for u in partners[i]] for i in range(len(left))]
+    back_ext = [[(i, (u + 1) * weight[i]) for i in range(len(left)) if u in partners[i]] for u in range(len(right))]
 
-    maps: set[PartialMap] = set()
+    steps = []
+    if "diamond" in frag.ops:
+        for ap in action_pair_closure(m, n, frag.action_ctors):
+            sl = successor_map(ap.left, left)
+            sr = successor_map(ap.right, right)
+            steps.append((
+                [tuple(lidx[x] for x in sl[w]) for w in left],
+                [tuple(ridx[y] for y in sr[v]) for v in right],
+            ))
+    exists = "exists" in frag.ops
+    # left states the map must cover: every state under exists, the nominals' under at
+    if exists:
+        targets = range(len(left))
+    else:
+        targets = [lidx[m.nominal_interp[k]] for k in m.sig.nominals] if "at" in frag.ops else []
 
-    def build(i: int, used_v: set[str], acc: list[Pair]):
-        maps.add(frozenset(acc))
-        for j in range(i, len(m.states)):
-            w = m.states[j]
-            for v in n.states:
-                if v in used_v or not agree[(w, v)]:
+    alive: set[int] = set()
+    img = [-1] * len(left)
+    inv = [-1] * len(right)
+
+    def visit(i: int, code: int):
+        # assign left states i, i-1, ..., 0, each digit from high to low
+        if i < 0:
+            if _bf_clauses_met(code, img, inv, alive, weight, ext, back_ext, targets, steps, exists):
+                alive.add(code)
+            return
+        for u in reversed(partners[i]):
+            if inv[u] < 0:
+                img[i], inv[u] = u, i
+                visit(i - 1, code + (u + 1) * weight[i])
+                inv[u] = -1
+        img[i] = -1
+        visit(i - 1, code)
+
+    visit(len(left) - 1, 0)
+    return BackAndForthSystem(frozenset(alive), frag, left, right)
+
+
+def _bf_clauses_met(code, img, inv, alive, weight, ext, back_ext, targets, steps, exists) -> bool:
+    """Does the map with this code (image `img`, preimage `inv`, -1 where
+    undefined) meet every enabled extension clause within `alive`?"""
+    for i in targets:
+        if img[i] < 0:
+            for d in ext[i]:
+                if code + d in alive:
+                    break
+            else:
+                return False
+    if exists:
+        for u, k in enumerate(inv):
+            if k < 0:
+                for i, d in back_ext[u]:
+                    if img[i] < 0 and code + d in alive:
+                        break
+                else:
+                    return False
+    for sl, sr in steps:
+        for i, j in enumerate(img):
+            if j < 0:
+                continue
+            for i2 in sl[i]:
+                k = img[i2]
+                if k >= 0:
+                    if k not in sr[j]:
+                        return False
                     continue
-                acc.append((w, v))
-                used_v.add(v)
-                build(j + 1, used_v, acc)
-                acc.pop()
-                used_v.discard(v)
-
-    build(0, set(), [])
-
-    action_pairs = (
-        action_pair_closure(m, n, frag.action_ctors) if "diamond" in frag.ops else []
-    )
-    succ = [
-        (successor_map(ap.left, m.states), successor_map(ap.right, n.states))
-        for ap in action_pairs
-    ]
-
-    def extension_alive(family: set[PartialMap], h: PartialMap, w: str, cond=None) -> bool:
-        """Is some one-step extension of h covering w (with optional condition
-        on the partner) in the family? Subset-closure of the family makes
-        one-step extensions sufficient."""
-        fwd = dict(h)
-        if w in fwd:
-            u = fwd[w]
-            return (cond is None or cond(u)) and h in family
-        rng = {v for _, v in h}
-        for u in n.states:
-            if u in rng or not agree[(w, u)]:
-                continue
-            if cond is not None and not cond(u):
-                continue
-            if h | {(w, u)} in family:
-                return True
-        return False
-
-    def extension_alive_back(family: set[PartialMap], h: PartialMap, v: str, cond=None) -> bool:
-        bwd = {b: a for a, b in h}
-        if v in bwd:
-            u = bwd[v]
-            return (cond is None or cond(u)) and h in family
-        dom = {a for a, _ in h}
-        for u in m.states:
-            if u in dom or not agree[(u, v)]:
-                continue
-            if cond is not None and not cond(u):
-                continue
-            if h | {(u, v)} in family:
-                return True
-        return False
-
-    family = maps
-    while True:
-        survivors = set()
-        for h in family:
-            ok = True
-            if "at" in frag.ops:
-                for k in m.sig.nominals:
-                    if not extension_alive(family, h, m.nominal_interp[k]):
-                        ok = False
+                for u in sr[j]:
+                    if code + (u + 1) * weight[i2] in alive:
                         break
-            if ok and "diamond" in frag.ops:
-                fwd = dict(h)
-                bwd = {b: a for a, b in h}
-                for (sl, sr) in succ:
-                    for w1, v1 in h:
-                        for w2 in sl[w1]:
-                            if not extension_alive(family, h, w2, cond=lambda u, v1=v1, sr=sr: u in sr[v1]):
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                        for v2 in sr[v1]:
-                            if not extension_alive_back(family, h, v2, cond=lambda u, w1=w1, sl=sl: u in sl[w1]):
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if not ok:
+                else:
+                    return False
+            for u2 in sr[j]:
+                k = inv[u2]
+                if k >= 0:
+                    if k not in sl[i]:
+                        return False
+                    continue
+                for i3 in sl[i]:
+                    if img[i3] < 0 and code + (u2 + 1) * weight[i3] in alive:
                         break
-            if ok and "exists" in frag.ops:
-                for w in m.states:
-                    if not extension_alive(family, h, w):
-                        ok = False
-                        break
-                if ok:
-                    for v in n.states:
-                        if not extension_alive_back(family, h, v):
-                            ok = False
-                            break
-            if ok:
-                survivors.add(h)
-        if survivors == family:
-            return BackAndForthSystem(frozenset(family), frag)
-        family = survivors
+                else:
+                    return False
+    return True
 
 
 def bf_related(frag: FragmentConfig, left: PointedModel, right: PointedModel) -> bool:

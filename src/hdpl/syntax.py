@@ -86,12 +86,15 @@ class Signature:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Signature":
-        return cls(
-            nominals=tuple(d.get("nominals", ())),
-            relations=tuple(d.get("relations", ())),
-            props=tuple(d.get("props", ())),
-            bound_vars=tuple(d.get("bound_vars", ())),
-        )
+        if not isinstance(d, dict):
+            raise SignatureError(f"a signature must be an object, not {type(d).__name__}")
+        pools = {}
+        for key in ("nominals", "relations", "props", "bound_vars"):
+            names = d.get(key, ())
+            if not isinstance(names, (list, tuple)) or not all(isinstance(x, str) for x in names):
+                raise SignatureError(f"signature field '{key}' must be a list of names")
+            pools[key] = tuple(names)
+        return cls(**pools)
 
     def to_dict(self) -> dict:
         return {
@@ -164,9 +167,6 @@ class FragmentConfig:
         parts = [op for op in OPS if op in self.ops]
         parts += [c for c in ACTION_CTORS if c in self.action_ctors]
         return ",".join(parts) if parts else "(boolean core)"
-
-    def subsumes(self, other: "FragmentConfig") -> bool:
-        return other.ops <= self.ops and other.action_ctors <= self.action_ctors
 
 
 # ---------------------------------------------------------------------------

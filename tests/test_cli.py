@@ -268,3 +268,29 @@ class TestErrors:
         assert code == 2
         assert err.startswith("error: ") and message in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"props": 5}', "signature field 'props' must be a list of names"),
+            ("{bad", "is not valid JSON"),
+        ],
+        ids=["non-list-field", "malformed-json"],
+    )
+    def test_bad_signature_file_exit_two(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code = main(["normalform", "--formula", "p", "--sig", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_deep_nesting_exit_two(self, demo_dir, tmp_path, capsys):
+        path = tmp_path / "deep.txt"
+        path.write_text("~" * 5000 + "p")
+        code = main(
+            ["check", "--model", str(demo_dir / "loop.json"), "--state", "0", "--formula", "@" + str(path)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: input nests too deeply\n"

@@ -31,6 +31,7 @@ from hdpl.omega import (
 )
 from hdpl.seqgame import seq_survives
 from hdpl.syntax import FragmentConfig, Rel, Signature, Star
+from oracle_bf import naive_max_back_and_forth
 
 
 def frag(ops, ctors=()):
@@ -154,6 +155,27 @@ class TestBackAndForth:
         # right q-states empties the whole family
         assert len(system) == 0
         assert not system.relates("0", "0")
+
+    @pytest.mark.parametrize("nominal", [False, True], ids=["plain", "nominal"])
+    @pytest.mark.parametrize("f", FRAGMENTS, ids=lambda f: f.describe())
+    def test_matches_round_based_oracle(self, f, nominal):
+        rng = random.Random(f"{f.describe()}:{nominal}")
+        for _ in range(20):
+            sig = small_signature(rng, with_nominal=nominal)
+            m = generate_random_model(rng.randrange(2**30), rng.randint(2, 5), rng.uniform(0.15, 0.7), sig)
+            if rng.random() < 0.3:
+                n = m
+            else:
+                n = generate_random_model(rng.randrange(2**30), rng.randint(2, 5), rng.uniform(0.15, 0.7), sig)
+            system = max_back_and_forth(f, m, n)
+            expected = naive_max_back_and_forth(f, m, n)
+            assert system.maps == expected
+            assert len(system) == len(expected)
+            for w in m.states:
+                for v in n.states:
+                    assert system.relates(w, v) == any((w, v) in h for h in expected)
+            # subset-closed: dropping any pair of a surviving map leaves a survivor
+            assert all(h - {pair} in expected for h in expected for pair in h)
 
 
 class TestValidateBisimFamily:

@@ -145,6 +145,14 @@ class TestSignature:
         assert len(set(seen)) == 5
         assert not set(seen) & set(SIG.all_names())
 
+    def test_from_dict_round_trip(self):
+        assert Signature.from_dict(SIG.to_dict()) == SIG
+
+    @pytest.mark.parametrize("d", [[1], {"props": 5}, {"props": "pq"}, {"nominals": [1]}])
+    def test_from_dict_rejects_malformed_input(self, d):
+        with pytest.raises(SignatureError):
+            Signature.from_dict(d)
+
 
 class TestFragmentConfig:
     def test_parse_flags(self):
