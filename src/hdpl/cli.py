@@ -189,6 +189,9 @@ def _cmd_bf(args) -> int:
     m = load_model(args.modelL)
     n = load_model(args.modelR)
     frag = _fragment(args)
+    for state, model, path in zip(args.pair or (), (m, n), (args.modelL, args.modelR)):
+        if state not in model.states:
+            raise ModelError(f"state '{state}' not in model {path}")
     system = max_back_and_forth(frag, m, n)
     if args.pair:
         w, v = args.pair

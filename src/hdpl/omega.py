@@ -109,6 +109,17 @@ def action_pair_closure(
     return items
 
 
+def _action_steps(frag: FragmentConfig, m: KripkeModel, n: KripkeModel) -> list[tuple[Action, dict, dict]]:
+    """(term, left successor map, right successor map) for each entry of the
+    action-pair closure; none when the fragment has no diamond."""
+    if "diamond" not in frag.ops:
+        return []
+    return [
+        (ap.term, successor_map(ap.left, m.states), successor_map(ap.right, n.states))
+        for ap in action_pair_closure(m, n, frag.action_ctors)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # The arena and the safety solver
 
@@ -137,15 +148,7 @@ class _Arena:
         self.nominal_pairs = [
             (m.nominal_interp[k], n.nominal_interp[k]) for k in m.sig.nominals
         ]
-        if "diamond" in frag.ops:
-            self.action_pairs = action_pair_closure(m, n, frag.action_ctors)
-            self.succ = [
-                (successor_map(ap.left, m.states), successor_map(ap.right, n.states))
-                for ap in self.action_pairs
-            ]
-        else:
-            self.action_pairs = []
-            self.succ = []
+        self.steps = _action_steps(frag, m, n)
 
     def prop(self, pos: Position) -> bool:
         pairs, (w, v) = pos
@@ -161,14 +164,13 @@ class _Arena:
         player may choose among."""
         pairs, (w, v) = pos
         ops = self.frag.ops
-        if "diamond" in ops:
-            for sl, sr in self.succ:
-                right_choices = sr[v]
-                for w2 in sl[w]:
-                    yield [(pairs, (w2, v2)) for v2 in right_choices]
-                left_choices = sl[w]
-                for v2 in right_choices:
-                    yield [(pairs, (w2, v2)) for w2 in left_choices]
+        for _, sl, sr in self.steps:
+            right_choices = sr[v]
+            for w2 in sl[w]:
+                yield [(pairs, (w2, v2)) for v2 in right_choices]
+            left_choices = sl[w]
+            for v2 in right_choices:
+                yield [(pairs, (w2, v2)) for w2 in left_choices]
         if "at" in ops:
             for target in self.nominal_pairs:
                 yield [(pairs, target)]
@@ -191,36 +193,40 @@ class OmegaResult:
     dead: set[Position]
     runs: int
     _arena: _Arena = field(repr=False)
-    _ranks: dict[Position, int] | None = field(default=None, repr=False)
+    # (position, depth) -> can the survivor last depth rounds; shared by all ranks
+    _memo: dict[tuple[Position, int], bool] = field(default_factory=dict, repr=False)
 
     @property
     def eloise_wins(self) -> bool:
         return self.winner == "eloise"
 
-    def dead_ranks(self) -> dict[Position, int]:
-        """Rounds-to-violation rank of every position proven unsafe."""
-        if self._ranks is None:
-            self._ranks = _compute_ranks(self._arena, self.dead)
-        return self._ranks
+    def _rank(self, pos: Position, limit: int | None = None) -> int | None:
+        """The first depth below `limit` at which the survivor cannot last
+        from `pos`: the challenger's exact rounds-to-violation. None when
+        every depth below `limit` survives."""
+        depths = itertools.count() if limit is None else range(limit)
+        return next((d for d in depths if not _bounded_survive(self._arena, pos, d, self._memo)), None)
 
     def loss_rank(self) -> int | None:
         """Minimal number of rounds within which the challenger can force a
-        violation, exact via iterative deepening; None on a survivor win."""
+        violation; None on a survivor win."""
         if self.winner != "abelard":
             return None
-        upper = self.dead_ranks()[self.init]
-        for d in range(upper + 1):
-            if not _bounded_survive(self._arena, self.init, d):
-                return d
-        return upper
+        return self._rank(self.init)
 
     def stabilization_height(self, cap: int = 8) -> int:
-        """Number of fixpoint removal rounds observed on the explored arena;
-        a proxy for the tree height at which verdicts stop changing."""
+        """The tree height at which verdicts stop changing, capped at `cap`:
+        the loss rank on a challenger win, otherwise 1 + the largest rank of
+        a position disproven on the explored arena."""
         if self.winner == "abelard":
             return max(1, min(self.loss_rank(), cap))
-        ranks = self.dead_ranks()
-        return max(1, min(1 + max(ranks.values(), default=0), cap))
+        height = 1
+        for pos in self.dead:
+            if height >= cap:
+                break
+            rank = self._rank(pos, cap - 1)
+            height = max(height, cap if rank is None else 1 + rank)
+        return max(1, min(height, cap))
 
 
 def omega_solve(frag: FragmentConfig, left: PointedModel, right: PointedModel) -> OmegaResult:
@@ -322,59 +328,21 @@ def _attempt(arena: _Arena, init: Position, dead: set[Position]):
     return certified, deaths, result
 
 
-def _bounded_survive(arena: _Arena, pos: Position, depth: int) -> bool:
+def _bounded_survive(arena: _Arena, pos: Position, depth: int, memo: dict) -> bool:
     """Can the survivor last `depth` rounds from `pos`? Plain bounded-depth
-    game search on arena positions."""
-    memo: dict[tuple, bool] = {}
-
-    def go(p: Position, d: int) -> bool:
-        key = (p, d)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if not arena.prop(p):
-            memo[key] = False
-            return False
-        if d == 0:
-            memo[key] = True
-            return True
-        res = all(any(go(r, d - 1) for r in replies) for replies in arena.options(p))
-        memo[key] = res
-        return res
-
-    return go(pos, depth)
-
-
-def _compute_ranks(arena: _Arena, dead: set[Position]) -> dict[Position, int]:
-    ranks: dict[Position, int] = {}
-    pending = set(dead)
-    while pending:
-        progressed = False
-        for pos in list(pending):
-            if not arena.prop(pos):
-                ranks[pos] = 0
-                pending.discard(pos)
-                progressed = True
-                continue
-            best = None
-            for replies in arena.options(pos):
-                if not all(r in dead for r in replies):
-                    continue
-                if not all(r in ranks for r in replies):
-                    continue
-                cand = 1 + max((ranks[r] for r in replies), default=0)
-                if best is None or cand < best:
-                    best = cand
-            if best is not None:
-                ranks[pos] = best
-                pending.discard(pos)
-                progressed = True
-        if not progressed:
-            # remaining disproofs lean on each other; resolve with a big rank
-            for pos in pending:
-                ranks[pos] = len(dead)
-            break
-    return ranks
+    game search on arena positions, memoized on (position, depth)."""
+    key = (pos, depth)
+    got = memo.get(key)
+    if got is None:
+        got = arena.prop(pos) and (
+            depth == 0
+            or all(
+                any(_bounded_survive(arena, r, depth - 1, memo) for r in replies)
+                for replies in arena.options(pos)
+            )
+        )
+        memo[key] = got
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +392,7 @@ def validate_bisim_family(
     are only checkable up to l_max - 1; the note records that bound."""
     violations: list[str] = []
     empty = fam.size() == 0
-    action_pairs = (
-        action_pair_closure(m, n, frag.action_ctors) if "diamond" in frag.ops else []
-    )
+    steps = _action_steps(frag, m, n)
 
     for level in sorted(fam.levels):
         for entry in fam.levels[level]:
@@ -445,20 +411,17 @@ def validate_bisim_family(
             for j in range(level):
                 if (wt[j] == w) != (vt[j] == v):
                     violations.append(f"(wvar) fails at index {j + 1}, level {level}: {entry}")
-            if "diamond" in frag.ops:
-                for ap in action_pairs:
-                    asucc = successor_map(ap.left, m.states)[w]
-                    bsucc = successor_map(ap.right, n.states)[v]
-                    for w2 in asucc:
-                        if not any(((wt, w2), (vt, v2)) in fam.entries(level) for v2 in bsucc):
-                            violations.append(
-                                f"(forth) fails for action {print_action(ap.term)} to {w2}, level {level}: {entry}"
-                            )
-                    for v2 in bsucc:
-                        if not any(((wt, w2), (vt, v2)) in fam.entries(level) for w2 in asucc):
-                            violations.append(
-                                f"(back) fails for action {print_action(ap.term)} to {v2}, level {level}: {entry}"
-                            )
+            for term, sl, sr in steps:
+                for w2 in sl[w]:
+                    if not any(((wt, w2), (vt, v2)) in fam.entries(level) for v2 in sr[v]):
+                        violations.append(
+                            f"(forth) fails for action {print_action(term)} to {w2}, level {level}: {entry}"
+                        )
+                for v2 in sr[v]:
+                    if not any(((wt, w2), (vt, v2)) in fam.entries(level) for w2 in sl[w]):
+                        violations.append(
+                            f"(back) fails for action {print_action(term)} to {v2}, level {level}: {entry}"
+                        )
             if "at" in frag.ops:
                 for j in range(level):
                     if ((wt, wt[j]), (vt, vt[j])) not in fam.entries(level):
@@ -644,15 +607,10 @@ def max_back_and_forth(frag: FragmentConfig, m: KripkeModel, n: KripkeModel) -> 
     ext = [[(u + 1) * weight[i] for u in partners[i]] for i in range(len(left))]
     back_ext = [[(i, (u + 1) * weight[i]) for i in range(len(left)) if u in partners[i]] for u in range(len(right))]
 
-    steps = []
-    if "diamond" in frag.ops:
-        for ap in action_pair_closure(m, n, frag.action_ctors):
-            sl = successor_map(ap.left, left)
-            sr = successor_map(ap.right, right)
-            steps.append((
-                [tuple(lidx[x] for x in sl[w]) for w in left],
-                [tuple(ridx[y] for y in sr[v]) for v in right],
-            ))
+    steps = [
+        ([tuple(lidx[x] for x in sl[w]) for w in left], [tuple(ridx[y] for y in sr[v]) for v in right])
+        for _, sl, sr in _action_steps(frag, m, n)
+    ]
     exists = "exists" in frag.ops
     # left states the map must cover: every state under exists, the nominals' under at
     if exists:
@@ -820,9 +778,7 @@ def hennessy_milner_check(
     if "exists" in frag.ops:
         raise OmegaError("the image-finite harness is for quantifier-free fragments")
     res = omega_solve(frag, left, right)
-    actions = tuple(
-        ap.term for ap in action_pair_closure(left.model, right.model, frag.action_ctors)
-    ) if "diamond" in frag.ops else ()
+    actions = tuple(term for term, _, _ in res._arena.steps)
     tree_frag = frag if actions or "diamond" not in frag.ops else FragmentConfig(
         frag.ops - {"diamond"}, frozenset()
     )

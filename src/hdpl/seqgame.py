@@ -11,26 +11,19 @@ from __future__ import annotations
 
 from .checker import SignatureMismatchError
 from .kripke import PointedModel, successor_map
-from .omega import ActionPair, action_pair_closure
+from .omega import action_pair_closure
 from .syntax import FragmentConfig
 
 
-def seq_survives(
-    frag: FragmentConfig,
-    left: PointedModel,
-    right: PointedModel,
-    depth: int,
-    action_pairs: list[ActionPair] | None = None,
-) -> bool:
+def seq_survives(frag: FragmentConfig, left: PointedModel, right: PointedModel, depth: int) -> bool:
     """Can the survivor last `depth` full rounds from the given start?"""
     m, n = left.model, right.model
     if m.sig != n.sig:
         raise SignatureMismatchError("models must share a signature")
-    if action_pairs is None and "diamond" in frag.ops:
-        action_pairs = action_pair_closure(m, n, frag.action_ctors)
+    action_pairs = action_pair_closure(m, n, frag.action_ctors) if "diamond" in frag.ops else []
     succ = [
         (successor_map(ap.left, m.states), successor_map(ap.right, n.states))
-        for ap in (action_pairs or [])
+        for ap in action_pairs
     ]
     nominal_pairs = [(m.nominal_interp[k], n.nominal_interp[k]) for k in m.sig.nominals]
     agree = {

@@ -252,6 +252,15 @@ class TestErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("pair", [("zz", "qq"), ("0", "qq"), ("zz", "0")])
+    def test_bf_unknown_pair_state_exit_two(self, demo_dir, capsys, pair):
+        loop = str(demo_dir / "loop.json")
+        code = main(["bf", "--fragment", "diamond", "--modelL", loop, "--modelR", loop, "--pair", *pair])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        bad = pair[0] if pair[0] == "zz" else pair[1]
+        assert captured.err == f"error: state '{bad}' not in model {loop}\n"
+
     @pytest.mark.parametrize(
         "text, message",
         [

@@ -13,6 +13,7 @@ from hdpl.kripke import (
     find_isomorphism,
     generate_random_model,
     generate_random_rooted_model,
+    model_from_dict,
 )
 from hdpl.omega import (
     LBisimFamily,
@@ -313,6 +314,18 @@ class TestHennessyMilner:
         with pytest.raises(OmegaError):
             hennessy_milner_check(left, right, DSE)
 
+    def test_height_is_one_plus_the_largest_exact_rank(self):
+        # every edge but the loop at s0: the disproved positions have ranks
+        # 0-2, among them ({(s2, s0)}, (s2, s0)) with rank 1
+        states = ["s0", "s1", "s2"]
+        edges = [[a, b] for a in states for b in states if (a, b) != ("s0", "s0")]
+        m = model_from_dict({"states": states, "relations": {"l": edges}, "props": {"p": states}})
+        pm = PointedModel(m, "s1")
+        res = omega_solve(DAS, pm, pm)
+        assert res.eloise_wins and res.stabilization_height() == 3
+        report = hennessy_milner_check(pm, pm, DAS)
+        assert report.heights == (1, 2, 3) and report.elementary_proxy
+
 
 class TestRootedIso:
     def test_renamed_copy(self):
@@ -431,7 +444,30 @@ class TestInvariants:
                 if res.eloise_wins:
                     assert seq_survives(f, left, right, 4)
                 else:
-                    assert not seq_survives(f, left, right, res.loss_rank())
+                    rank = res.loss_rank()
+                    assert not seq_survives(f, left, right, rank)
+                    if rank > 0:
+                        assert seq_survives(f, left, right, rank - 1)
+
+    def test_dead_start_positions_rank_exactly(self):
+        # a dead position naming nothing yet is the start of the game from its
+        # pair, so its rank is where the sequence game from there first fails
+        rng = random.Random(84)
+        checked = 0
+        for f in FRAGMENTS:
+            for _ in range(30):
+                sig = small_signature(rng)
+                m, n = random_model_pair(rng, sig, max_states=3)
+                res = omega_solve(f, PointedModel(m, rng.choice(m.states)), PointedModel(n, rng.choice(n.states)))
+                res.loss_rank()  # fills the shared memo first when the game is lost
+                for pairs, (w, v) in res.dead:
+                    if pairs:
+                        continue
+                    rank = res._rank((pairs, (w, v)))
+                    survives = [seq_survives(f, PointedModel(m, w), PointedModel(n, v), d) for d in range(rank + 1)]
+                    assert survives == [True] * rank + [False]
+                    checked += 1
+        assert checked > 100
 
     def test_bf_implies_win_and_equality_under_hypotheses(self):
         rng = random.Random(82)
