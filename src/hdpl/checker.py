@@ -1,9 +1,9 @@
 """Local satisfaction of sentences on pointed models, and basic-sentence
-agreement between two pointed models."""
+agreement between two pointed models or between all pairs of their states."""
 
 from __future__ import annotations
 
-from .kripke import PointedModel, Successors
+from .kripke import KripkeModel, PointedModel, Successors
 from .syntax import (
     And,
     At,
@@ -76,7 +76,16 @@ def game_property(pmL: PointedModel, pmR: PointedModel) -> bool:
     mL, mR = pmL.model, pmR.model
     if mL.sig != mR.sig:
         raise SignatureMismatchError(f"signatures differ: {mL.sig} vs {mR.sig}")
-    w, v = pmL.current, pmR.current
-    return mL.valuation[w] == mR.valuation[v] and all(
-        (mL.nominal_interp[x] == w) == (mR.nominal_interp[x] == v) for x in mL.sig.point_names()
-    )
+    return basic_agreement(mL, mR)[(pmL.current, pmR.current)]
+
+
+def basic_agreement(m: KripkeModel, n: KripkeModel) -> dict[tuple[str, str], bool]:
+    """Whether each left/right pair of states satisfies the same basic
+    sentences: the same propositions and the same nominal/variable equations."""
+    names = m.sig.point_names()
+    return {
+        (w, v): m.valuation[w] == n.valuation[v]
+        and all((m.nominal_interp[x] == w) == (n.nominal_interp[x] == v) for x in names)
+        for w in m.states
+        for v in n.states
+    }

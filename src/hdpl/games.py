@@ -9,7 +9,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .checker import SignatureMismatchError, game_property
+from .checker import SignatureMismatchError, basic_agreement, game_property
 from .gameboard import (
     AtEdge,
     DiaEdge,
@@ -339,16 +339,10 @@ def ef_solve(tr: GameboardTree, left: PointedModel, right: PointedModel) -> EfRe
         raise SignatureMismatchError("both models must share the tree root signature")
     sl, sr = Successors(Lm), Successors(Rm)
 
-    # the basic sentences of the root signature each state satisfies: its
-    # props and which root names denote it; the environments cover the rest
-    names = tr.sig.point_names()
-    bl, br = (
-        {w: (m.valuation[w], tuple(m.nominal_interp[x] == w for x in names)) for w in m.states}
-        for m in (Lm, Rm)
-    )
+    basic = basic_agreement(Lm, Rm)  # the root names; the environments cover the rest
 
     def agree(Lw, Lenv, Rv, Renv) -> bool:
-        if bl[Lw] != br[Rv]:
+        if not basic[(Lw, Rv)]:
             return False
         for a, b in zip(Lenv, Renv):
             if (a == Lw) != (b == Rv):

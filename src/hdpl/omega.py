@@ -1,12 +1,17 @@
 """Countable equivalence games solved as finite safety games, plus the
-companion notions: semantic action-pair closure, level-indexed bisimulation
-families with validation/extraction/shifting, basic partial isomorphisms and
+companion notions: level-indexed bisimulation families with
+validation/extraction/shifting, basic partial isomorphisms and
 back-and-forth systems, and the image-finite / rooted-model report harnesses.
 
 Arena positions abstract the two players' naming histories into a set of
 named state correspondences plus the current pair; the safety condition is
 basic-sentence agreement of the current pair together with consistency
 against every named correspondence.
+
+Every solver moves along the base relations only, whatever constructors the
+fragment enables: a diamond move keeps the named correspondences, so a
+position set closed under base moves is closed under `+`, `;` and `*` too
+(van Benthem, Studia Logica 60, 1998). Ranks count base-relation moves.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .checker import SignatureMismatchError
+from .checker import SignatureMismatchError, basic_agreement
 from .gameboard import complete_tree
 from .games import char_formula
 from .kripke import (
@@ -72,7 +77,8 @@ def action_pair_closure(
 ) -> list[ActionPair]:
     """Least set of relation pairs containing every base relation's pair and
     closed pointwise under the enabled constructors. Distinct action terms
-    denoting the same relation pair collapse to one entry."""
+    denoting the same relation pair collapse to one entry. A reference
+    construction that no solver reads (see the module docstring)."""
     if m.sig.relations != n.sig.relations:
         raise SignatureMismatchError("models must share relation names")
     items: list[ActionPair] = []
@@ -110,29 +116,21 @@ def action_pair_closure(
 
 
 def _action_steps(frag: FragmentConfig, m: KripkeModel, n: KripkeModel) -> list[tuple[Action, dict, dict]]:
-    """(term, left successor map, right successor map) for each entry of the
-    action-pair closure; none when the fragment has no diamond."""
+    """(Rel(r), left successor map, right successor map) for each relation r
+    of the signature, in signature order; none when the fragment has no
+    diamond."""
+    if m.sig.relations != n.sig.relations:
+        raise SignatureMismatchError("models must share relation names")
     if "diamond" not in frag.ops:
         return []
     return [
-        (ap.term, successor_map(ap.left, m.states), successor_map(ap.right, n.states))
-        for ap in action_pair_closure(m, n, frag.action_ctors)
+        (Rel(r), successor_map(m.relation_interp[r], m.states), successor_map(n.relation_interp[r], n.states))
+        for r in m.sig.relations
     ]
 
 
 # ---------------------------------------------------------------------------
 # The arena and the safety solver
-
-
-def basic_agreement(m: KripkeModel, n: KripkeModel) -> dict[Pair, bool]:
-    """Whether each left/right pair of states satisfies the same basic
-    sentences: the same propositions and the same nominals."""
-    return {
-        (w, v): m.valuation[w] == n.valuation[v]
-        and all((m.nominal_interp[k] == w) == (n.nominal_interp[k] == v) for k in m.sig.nominals)
-        for w in m.states
-        for v in n.states
-    }
 
 
 class _Arena:
@@ -174,7 +172,7 @@ class _Arena:
         if "at" in ops:
             for target in self.nominal_pairs:
                 yield [(pairs, target)]
-            for target in pairs:
+            for target in sorted(pairs):
                 yield [(pairs, target)]
         if "store" in ops:
             yield [(pairs | {(w, v)}, (w, v))]
@@ -745,9 +743,9 @@ def back_and_forth_hypotheses(frag: FragmentConfig) -> bool:
     return True
 
 
-def _feasible_height(sig, frag: FragmentConfig, n_actions: int, wanted: int, budget: int = 100_000) -> int:
-    """Largest height <= wanted whose complete tree stays within the node
-    budget; the at-branching grows along store chains."""
+def _feasible_height(sig, frag: FragmentConfig, wanted: int, budget: int = 100_000) -> int:
+    """Largest height <= wanted whose complete tree (one dia-edge per relation)
+    stays within the node budget; the at-branching grows along store chains."""
     height = 0
     nodes = 1
     level = 1
@@ -758,7 +756,7 @@ def _feasible_height(sig, frag: FragmentConfig, n_actions: int, wanted: int, bud
         if "at" in frag.ops:
             branching += len(sig.point_names()) + ("store" in frag.ops) * depth
         if "diamond" in frag.ops:
-            branching += n_actions
+            branching += len(sig.relations)
         level *= branching
         nodes += level
         if nodes > budget:
@@ -778,13 +776,11 @@ def hennessy_milner_check(
     if "exists" in frag.ops:
         raise OmegaError("the image-finite harness is for quantifier-free fragments")
     res = omega_solve(frag, left, right)
-    actions = tuple(term for term, _, _ in res._arena.steps)
+    actions = tuple(Rel(r) for r in left.model.sig.relations)
     tree_frag = frag if actions or "diamond" not in frag.ops else FragmentConfig(
         frag.ops - {"diamond"}, frozenset()
     )
-    height = _feasible_height(
-        left.model.sig, tree_frag, len(actions), res.stabilization_height()
-    )
+    height = _feasible_height(left.model.sig, tree_frag, res.stabilization_height())
     per_height = []
     for h in range(1, height + 1):
         tr = complete_tree(left.model.sig, tree_frag, h, actions)

@@ -4,14 +4,14 @@ Positions here carry the players' full naming histories as tuples, with no
 set abstraction and no safety fixpoint: the survivor survives `depth` rounds
 iff the basic-sentence property holds now and every challenger option has an
 answer surviving `depth - 1` rounds. This is the reference oracle the arena
-solver is differentially tested against.
+solver is differentially tested against; it imports nothing from that
+solver's module. Like the arena, it moves along the base relations only.
 """
 
 from __future__ import annotations
 
 from .checker import SignatureMismatchError
 from .kripke import PointedModel, successor_map
-from .omega import action_pair_closure
 from .syntax import FragmentConfig
 
 
@@ -20,10 +20,9 @@ def seq_survives(frag: FragmentConfig, left: PointedModel, right: PointedModel, 
     m, n = left.model, right.model
     if m.sig != n.sig:
         raise SignatureMismatchError("models must share a signature")
-    action_pairs = action_pair_closure(m, n, frag.action_ctors) if "diamond" in frag.ops else []
     succ = [
-        (successor_map(ap.left, m.states), successor_map(ap.right, n.states))
-        for ap in action_pairs
+        (successor_map(m.relation_interp[r], m.states), successor_map(n.relation_interp[r], n.states))
+        for r in m.sig.relations
     ]
     nominal_pairs = [(m.nominal_interp[k], n.nominal_interp[k]) for k in m.sig.nominals]
     agree = {

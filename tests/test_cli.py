@@ -3,6 +3,8 @@ import json
 import pytest
 
 from hdpl.cli import main
+from hdpl.kripke import generate_random_model, model_to_dict
+from hdpl.syntax import Signature
 
 
 def run(capsys, *argv):
@@ -139,6 +141,19 @@ class TestOmegaCommands:
         )
         assert code == 1
         assert data["winner"] == "abelard" and data["loss_rank"] == 2
+
+    def test_omega_two_relation_constructors(self, tmp_path, capsys):
+        # the action-pair closure of this pair overflows its cap; the verdict
+        # needs only the base relations
+        sig = Signature(relations=("l", "r"), props=("p",))
+        for name, seed in (("m.json", 1), ("n.json", 101)):
+            (tmp_path / name).write_text(json.dumps(model_to_dict(generate_random_model(seed, 4, 0.3, sig))))
+        code, data = run_json(
+            capsys, "omega", "--fragment", "diamond,union,comp,star",
+            "--left", str(tmp_path / "m.json") + ":s0", "--right", str(tmp_path / "n.json") + ":s0",
+        )
+        assert code == 1
+        assert data == {"command": "omega", "winner": "abelard", "fragment": "diamond,union,comp,star", "loss_rank": 0}
 
     def test_bf_pair(self, demo_dir, capsys):
         code, out = run(

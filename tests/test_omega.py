@@ -1,8 +1,13 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hdpl
 from hdpl import fixtures as fx
 from hdpl.corpus import FRAGMENTS, random_model_pair, small_signature
 from hdpl.gameboard import complete_tree
@@ -14,9 +19,11 @@ from hdpl.kripke import (
     generate_random_model,
     generate_random_rooted_model,
     model_from_dict,
+    successor_map,
 )
 from hdpl.omega import (
     LBisimFamily,
+    _Arena,
     OmegaError,
     action_pair_closure,
     back_and_forth_hypotheses,
@@ -119,6 +126,45 @@ class TestOmegaSolve:
         # the explicit sequence game confirms the exact rank
         assert not seq_survives(FULL, left, right, rank)
         assert seq_survives(FULL, left, right, rank - 1)
+
+    @pytest.mark.parametrize("seeds", [(1, 101), (2, 102)])
+    def test_two_relation_constructor_pairs_decide(self, seeds):
+        # 4-state pairs whose action-pair closure overflows its cap or takes
+        # over a minute; the base relations decide them at once
+        sig = Signature(relations=("l", "r"), props=("p",))
+        f = frag({"diamond"}, {"union", "comp", "star"})
+        m, n = (generate_random_model(seed, 4, 0.3, sig) for seed in seeds)
+        left, right = PointedModel(m, "s0"), PointedModel(n, "s0")
+        rank = omega_solve(f, left, right).loss_rank()
+        assert rank is not None and not seq_survives(f, left, right, rank)
+        assert rank == 0 or seq_survives(f, left, right, rank - 1)
+
+    def test_dead_positions_do_not_depend_on_string_hashing(self):
+        # 5-state self-pairs where the at-moves over named pairs, iterated in
+        # frozenset order, made the explored positions vary between processes
+        script = (
+            "import random\n"
+            "from hdpl.kripke import PointedModel, generate_random_model\n"
+            "from hdpl.omega import omega_solve\n"
+            "from hdpl.syntax import FragmentConfig, Signature\n"
+            "f = FragmentConfig.parse('diamond,at,store')\n"
+            "sig = Signature(relations=('l',), props=('p',))\n"
+            "rng = random.Random(1)\n"
+            "for _ in range(40):\n"
+            "    m = generate_random_model(rng.randrange(2**30), 5, rng.uniform(0.3, 0.8), sig)\n"
+            "    pm = PointedModel(m, rng.choice(m.states))\n"
+            "    print(len(omega_solve(f, pm, pm).dead))\n"
+        )
+        src = str(Path(hdpl.__file__).parents[1])
+        outs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, check=True, timeout=120,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert outs[0] == outs[1] and len(outs[0].split()) == 40
 
     def test_variable_free_start_required(self):
         from hdpl.kripke import expand
@@ -374,13 +420,25 @@ class TestRootedIso:
             assert report.agree
 
 
-def brute_force_safety_verdict(f, left, right) -> bool:
-    """Classical greatest fixpoint over the fully enumerated arena: start from
-    every property-holding position and delete positions with an unanswerable
-    option until stable. Only tractable for the tiniest models."""
-    from hdpl.omega import _Arena
+def closure_arena(f, m, n):
+    """The arena with one diamond step per entry of the action-pair closure:
+    the constructors-on alphabet, which no solver reads."""
+    arena = _Arena(f, m, n)
+    if arena.steps:
+        arena.steps = [
+            (ap.term, successor_map(ap.left, m.states), successor_map(ap.right, n.states))
+            for ap in action_pair_closure(m, n, f.action_ctors)
+        ]
+    return arena
 
-    arena = _Arena(f, left.model, right.model)
+
+def brute_force_safety_verdict(f, left, right, arena=None) -> bool:
+    """Classical greatest fixpoint over the fully enumerated arena (by default
+    the solver's own): start from every property-holding position and delete
+    positions with an unanswerable option until stable. Only tractable for the
+    tiniest models."""
+    if arena is None:
+        arena = _Arena(f, left.model, right.model)
     all_pairs = [(w, v) for w in left.model.states for v in right.model.states]
     positions = [
         (frozenset(sub), cur)
@@ -419,6 +477,27 @@ class TestInvariants:
             lazy = omega_solve(f, left, right).eloise_wins
             assert lazy == brute_force_safety_verdict(f, left, right), f.describe()
             total += 1
+
+    def test_constructors_on_equal_constructors_off_over_two_relations(self):
+        # the closure-based arena and the round-based oracle see every
+        # constructor-closed relation pair; the solvers see the base relations
+        rng = random.Random(89)
+        verdicts = set()
+        for _ in range(60):
+            sig = Signature(nominals=("k",) if rng.random() < 0.5 else (), relations=("l", "r"), props=("p",))
+            ops = {"diamond"} | {op for op in ("at", "store", "exists") if rng.random() < 0.5}
+            ctors = {c for c in ("union", "comp", "star") if rng.random() < 0.6} or {"comp"}
+            f = frag(ops, ctors)
+            m = generate_random_model(rng.randrange(2**30), rng.randint(1, 2), rng.uniform(0.2, 0.7), sig)
+            n = m if rng.random() < 0.3 else generate_random_model(
+                rng.randrange(2**30), rng.randint(1, 2), rng.uniform(0.2, 0.7), sig
+            )
+            left, right = PointedModel(m, rng.choice(m.states)), PointedModel(n, rng.choice(n.states))
+            wins = omega_solve(f, left, right).eloise_wins
+            assert wins == brute_force_safety_verdict(f, left, right, closure_arena(f, m, n)), f.describe()
+            assert max_back_and_forth(f, m, n).maps == naive_max_back_and_forth(f, m, n), f.describe()
+            verdicts.add(wins)
+        assert verdicts == {True, False}
 
     def test_swapping_the_models_preserves_the_verdict(self):
         rng = random.Random(88)
