@@ -23,6 +23,7 @@ from .corpus import (
     small_signature,
 )
 from .games import (
+    AbelardMove,
     ef_solve,
     char_formula,
     enumerate_game_sentences,
@@ -55,18 +56,27 @@ from .seqgame import seq_survives
 from .syntax import FragmentConfig, HdplError, Signature, parse_action, parse_sentence, print_sentence
 
 
-def _read_formula(arg: str) -> str:
-    if arg.startswith("@"):
-        with open(arg[1:]) as fh:
+def _read_text(path: str) -> str:
+    with open(path) as fh:
+        try:
             return fh.read()
-    return arg
+        except UnicodeDecodeError:
+            raise HdplError(f"{path} is not a text file") from None
+
+
+def _read_formula(arg: str) -> str:
+    return _read_text(arg[1:]) if arg.startswith("@") else arg
 
 
 def _read_tree_text(arg: str) -> str:
-    if os.path.exists(arg):
-        with open(arg) as fh:
-            return fh.read()
-    return arg
+    return _read_text(arg) if os.path.isfile(arg) else arg
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text}")
+    return value
 
 
 def _fragment(args) -> FragmentConfig:
@@ -262,25 +272,10 @@ def _cmd_play(args) -> int:
                 return mv
         return moves[0] if moves else None
 
-    def best_abelard(state):
-        moves = legal_moves(state, "abelard")
-        for mv in moves:
-            nxt = game_step(state, mv)
-            if nxt.pending is None:
-                if nxt.lost or ef_solve(nxt.tree, nxt.left, nxt.right).winner == "abelard":
-                    return mv
-            else:
-                replies = legal_moves(nxt, "eloise")
-                if not replies:
-                    return mv
-                if all(
-                    game_step(nxt, r).lost
-                    or ef_solve(game_step(nxt, r).tree, game_step(nxt, r).left, game_step(nxt, r).right).winner
-                    == "abelard"
-                    for r in replies
-                ):
-                    return mv
-        return moves[0] if moves else None
+    def best_abelard(state, moves):
+        # the first step of a fastest forced loss, when there is one
+        trace = ef_solve(state.tree, state.left, state.right).trace
+        return AbelardMove(trace[0].edge_index, trace[0].side, trace[0].abelard) if trace else moves[0]
 
     while True:
         if gs.lost:
@@ -308,7 +303,7 @@ def _cmd_play(args) -> int:
                 print("enter a move number")
                 continue
         else:
-            mv = best_eloise(gs) if whose == "eloise" else best_abelard(gs)
+            mv = best_eloise(gs) if whose == "eloise" else best_abelard(gs, moves)
             print(f"[{whose}] plays {mv}")
             gs = game_step(gs, mv)
         print(f"position: left={gs.left.current} right={gs.right.current}")
@@ -398,7 +393,7 @@ def _cmd_paper(args) -> int:
     name = args.example
     checks: list[tuple[str, bool]] = []
     if name == "loop":
-        left, right = fixtures.loop_pair(max(args.depth, 4))
+        left, right = fixtures.loop_pair(4)
         tr = parse_tree("(down (dia l (dia l leaf)))", left.model.sig)
         res = ef_solve(tr, left, right)
         checks.append(("challenger wins the named-loop game", res.winner == "abelard"))
@@ -471,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", required=True)
     p.add_argument("--sig", required=True, help="signature JSON file")
     p.add_argument("--fragment")
-    p.add_argument("--cap", type=int, default=512)
+    p.add_argument("--cap", type=_nonnegative_int, default=512)
 
     p = add("tree", _cmd_tree, help="validate a tree or generate a complete one")
     group = p.add_mutually_exclusive_group(required=True)
@@ -517,12 +512,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("fuzz", _cmd_fuzz, help="differential property suites")
     p.add_argument("--suite", choices=("omega", "bf", "hm", "fh"), required=True)
-    p.add_argument("--cases", type=int, default=100)
+    p.add_argument("--cases", type=_nonnegative_int, default=100)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("paper", _cmd_paper, help="replay a bundled example scenario")
     p.add_argument("--example", choices=("loop", "pos", "quant", "finite-orders"), required=True)
-    p.add_argument("--depth", type=int, default=4, help="truncation depth for the loop example")
 
     return parser
 
@@ -532,10 +526,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except HdplError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (HdplError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

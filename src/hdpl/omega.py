@@ -188,8 +188,8 @@ class OmegaResult:
     winner: str  # 'eloise' | 'abelard'
     init: Position
     safe: set[Position] | None
-    dead: set[Position]
-    runs: int
+    dead: set[Position]  # each has an option with no surviving answer, or is a violating start
+    runs: int  # restarts + 1
     _arena: _Arena = field(repr=False)
     # (position, depth) -> can the survivor last depth rounds; shared by all ranks
     _memo: dict[tuple[Position, int], bool] = field(default_factory=dict, repr=False)
@@ -231,99 +231,64 @@ def omega_solve(frag: FragmentConfig, left: PointedModel, right: PointedModel) -
     """Decide countable game equivalence of two pointed models by solving the
     induced finite safety game.
 
-    The solver explores lazily and optimistically from the initial position:
-    cycles are assumed safe, disproofs (property violations, options with no
-    surviving answer) are permanent, and a run that certified the initial
-    position while any disproof occurred is restarted, because its
-    assumptions may have leaned on a position that later died. The final run
-    either disproves the initial position (sound immediately) or completes
-    with no new deaths, in which case its certified set is closed under the
+    A start that breaks basic agreement is lost at once, in one run.
+    Otherwise the solver explores lazily and optimistically from the start:
+    cycles are assumed safe, a reply that breaks the property is never an
+    answer, and a disproof (an option with no surviving answer) is
+    permanent. A run that added a disproof without disproving the start is
+    restarted, because its assumptions may have leaned on a position that
+    later died. The final run either disproves the start (sound at once) or
+    adds no disproof, in which case its certified set is closed under the
     answering player's strategy and hence genuinely safe.
     """
     arena = _Arena(frag, left.model, right.model)
     init: Position = (frozenset(), (left.current, right.current))
+    if not arena.prop(init):
+        return OmegaResult("abelard", init, None, {init}, 1, arena)
     dead: set[Position] = set()
     runs = 0
-    while True:
+    while init not in dead:
         runs += 1
-        certified, new_deaths, init_alive = _attempt(arena, init, dead)
-        if not init_alive:
-            return OmegaResult("abelard", init, None, dead, runs, arena)
-        if new_deaths == 0:
-            return OmegaResult("eloise", init, certified, dead, runs, arena)
+        before = len(dead)
+        safe = _attempt(arena, init, dead)
+        if len(dead) == before:
+            return OmegaResult("eloise", init, safe, dead, runs, arena)
+    return OmegaResult("abelard", init, None, dead, runs, arena)
 
 
-def _attempt(arena: _Arena, init: Position, dead: set[Position]):
-    """One optimistic depth-first certification pass. Returns the set of
-    positions certified in this pass, the number of new disproofs, and
-    whether the initial position survived.
+def _attempt(arena: _Arena, init: Position, dead: set[Position]) -> set[Position]:
+    """One optimistic depth-first certification pass from the property-holding
+    position `init`; adds its disproofs to `dead` and returns the positions
+    it certified.
 
-    Iterative so depth is not bounded by the interpreter stack. Each frame
-    is [pos, options, option_index, reply_index, fresh].
+    `live` holds the positions on the stack and those certified so far, all
+    of which hold the property. Iterative so depth is not bounded by the
+    interpreter stack. Each frame is [pos, options, option_index,
+    reply_index]; a popped frame's parent looks at the same reply again and
+    finds it in `live` (certified) or in `dead`.
     """
-    certified: set[Position] = set()
-    onstack: set[Position] = set()
-    deaths = 0
-    result = True
-    stack: list[list] = [[init, None, 0, 0, True]]
+    live = {init}
+    stack: list[list] = [[init, list(arena.options(init)), 0, 0]]
     while stack:
         f = stack[-1]
-        pos = f[0]
-        if f[4]:
-            f[4] = False
-            if pos in dead:
-                stack.pop()
-                result = False
-                continue
-            if pos in certified or pos in onstack:
-                stack.pop()
-                result = True
-                continue
-            if not arena.prop(pos):
-                dead.add(pos)
-                deaths += 1
-                stack.pop()
-                result = False
-                continue
-            onstack.add(pos)
-            f[1] = list(arena.options(pos))
+        pos, options, i, j = f
+        if i == len(options):
+            stack.pop()  # every option answered: certified, stays live
+        elif j == len(options[i]):
+            stack.pop()  # no surviving answer to option i: disproven
+            live.discard(pos)
+            dead.add(pos)
         else:
-            # a child visit for reply (f[2], f[3]) just returned `result`
-            if result:
-                f[2] += 1  # option answered; move to the next option
+            r = options[i][j]
+            if r in live:
+                f[2] += 1  # answered; on to the next option
                 f[3] = 0
+            elif r in dead or not arena.prop(r):
+                f[3] += 1  # not an answer; on to the next reply
             else:
-                f[3] += 1  # try the next candidate answer
-        pushed = False
-        while f[2] < len(f[1]):
-            replies = f[1][f[2]]
-            if f[3] >= len(replies):
-                # no surviving answer to this option: disproven
-                onstack.discard(pos)
-                dead.add(pos)
-                deaths += 1
-                stack.pop()
-                result = False
-                pushed = True
-                break
-            r = replies[f[3]]
-            if r in dead:
-                f[3] += 1
-                continue
-            if r in certified or r in onstack:
-                f[2] += 1  # answered by an already-live position
-                f[3] = 0
-                continue
-            stack.append([r, None, 0, 0, True])
-            pushed = True
-            break
-        if pushed:
-            continue
-        onstack.discard(pos)
-        certified.add(pos)
-        stack.pop()
-        result = True
-    return certified, deaths, result
+                live.add(r)
+                stack.append([r, list(arena.options(r)), 0, 0])
+    return live
 
 
 def _bounded_survive(arena: _Arena, pos: Position, depth: int, memo: dict) -> bool:

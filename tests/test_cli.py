@@ -310,6 +310,67 @@ class TestErrors:
         assert err.startswith("error: ") and message in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("kind", ["directory", "binary"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["check", "--model", "{bad}", "--state", "0", "--formula", "p"], id="check-model"),
+            pytest.param(["check", "--model", "{loop}", "--state", "0", "--formula", "@{bad}"], id="check-formula"),
+            pytest.param(["game", "--tree", "{bad}", "--left", "{loop}:0", "--right", "{loop}:0"], id="game-tree"),
+            pytest.param(["game", "--tree", "leaf", "--left", "{bad}:0", "--right", "{loop}:0"], id="game-left"),
+            pytest.param(["charform", "--tree", "{bad}", "--model", "{loop}:0"], id="charform-tree"),
+            pytest.param(["charform", "--tree", "leaf", "--model", "{bad}:0"], id="charform-model"),
+            pytest.param(["normalform", "--formula", "@{bad}", "--sig", "{sig}"], id="normalform-formula"),
+            pytest.param(["normalform", "--formula", "p", "--sig", "{bad}"], id="normalform-sig"),
+            pytest.param(["tree", "--validate", "--tree", "{bad}", "--sig", "{sig}"], id="tree-tree"),
+            pytest.param(["tree", "--complete", "--sig", "{bad}"], id="tree-sig"),
+            pytest.param(["omega", "--left", "{bad}:0", "--right", "{loop}:0"], id="omega"),
+            pytest.param(["bf", "--modelL", "{loop}", "--modelR", "{bad}"], id="bf"),
+            pytest.param(["hm", "--left", "{loop}:0", "--right", "{bad}:0"], id="hm"),
+            pytest.param(["rootediso", "--left", "{bad}:0", "--right", "{loop}:0"], id="rootediso"),
+            pytest.param(["iso", "--left", "{loop}:0", "--right", "{bad}:0"], id="iso"),
+            pytest.param(
+                ["play", "--tree", "{bad}", "--left", "{loop}:0", "--right", "{loop}:0", "--as", "eloise"],
+                id="play-tree",
+            ),
+            pytest.param(
+                ["play", "--tree", "leaf", "--left", "{bad}:0", "--right", "{loop}:0", "--as", "eloise"],
+                id="play-left",
+            ),
+        ],
+    )
+    def test_unreadable_input_exit_two(self, demo_dir, tmp_path, capsys, argv, kind):
+        # a directory, or a file that is not text, in place of an input file
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"\xff\xfe\x00\x81")
+        names = {"bad": str(bad), "loop": str(demo_dir / "loop.json"), "sig": str(demo_dir / "sig_p.json")}
+        code = main([arg.format(**names) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    def test_tree_text_named_like_a_directory(self, demo_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "leaf").mkdir()
+        code, data = run_json(capsys, "charform", "--tree", "leaf", "--model", str(demo_dir / "loop.json") + ":a")
+        assert code == 0 and data["game_sentence"] == "{p}"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["fuzz", "--suite", "omega", "--cases", "-3"], id="fuzz-cases"),
+            pytest.param(["normalform", "--formula", "p", "--sig", "{sig}", "--cap", "-1"], id="normalform-cap"),
+        ],
+    )
+    def test_negative_count_exit_two(self, demo_dir, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(sig=demo_dir / "sig_p.json") for arg in argv])
+        assert exc.value.code == 2
+        assert "must not be negative: -" in capsys.readouterr().err
+
     def test_deep_nesting_exit_two(self, demo_dir, tmp_path, capsys):
         path = tmp_path / "deep.txt"
         path.write_text("~" * 5000 + "p")

@@ -457,7 +457,47 @@ def brute_force_safety_verdict(f, left, right, arena=None) -> bool:
     return (frozenset(), (left.current, right.current)) in safe
 
 
+def solved_sample(f, count=40):
+    """omega_solve on the 5-state sweep model self-paired at s0 and on
+    `count` random pairs of at most 3 states."""
+    sig = Signature(nominals=("k",), relations=("l",), props=("p",))
+    sweep = PointedModel(generate_random_model(7, 5, 0.4, sig), "s0")
+    yield omega_solve(f, sweep, sweep)
+    rng = random.Random(f"sample:{f.describe()}")
+    for _ in range(count):
+        m, n = random_model_pair(rng, small_signature(rng), max_states=3)
+        yield omega_solve(f, PointedModel(m, rng.choice(m.states)), PointedModel(n, rng.choice(n.states)))
+
+
 class TestInvariants:
+    @pytest.mark.parametrize("f", FRAGMENTS, ids=lambda f: f.describe())
+    def test_dead_positions_hold_the_property(self, f):
+        # a reply that breaks the property is skipped, not recorded: only a
+        # violating start is dead without an unanswerable option
+        checked = 0
+        for res in solved_sample(f):
+            prop = res._arena.prop
+            if not prop(res.init):
+                assert res.dead == {res.init} and res.runs == 1
+            disproven = res.dead - {res.init}
+            assert all(prop(pos) for pos in disproven)
+            checked += len(disproven)
+        assert checked > 0
+
+    @pytest.mark.parametrize("f", FRAGMENTS, ids=lambda f: f.describe())
+    def test_safe_set_is_closed_on_survivor_wins(self, f):
+        wins = 0
+        for res in solved_sample(f):
+            if not res.eloise_wins:
+                continue
+            arena = res._arena
+            assert res.init in res.safe
+            for pos in res.safe:
+                assert arena.prop(pos)
+                assert all(any(r in res.safe for r in replies) for replies in arena.options(pos))
+            wins += 1
+        assert wins > 0
+
     def test_lazy_solver_matches_brute_force_fixpoint(self):
         rng = random.Random(87)
         total = 0
