@@ -32,6 +32,7 @@ from .games import (
     lower_game_sentence,
     normal_form,
     predicted_theta_size,
+    replay_trace,
     start_game,
     game_step,
 )
@@ -296,7 +297,10 @@ def _cmd_play(args) -> int:
             print(f"[{whose}] legal moves:")
             for i, mv in enumerate(moves):
                 print(f"  {i}: {mv}")
-            line = input("move> ").strip()
+            try:
+                line = input("move> ").strip()
+            except EOFError:
+                raise HdplError("standard input ended before the game did") from None
             try:
                 gs = game_step(gs, moves[int(line)])
             except (ValueError, IndexError):
@@ -372,6 +376,10 @@ def _cmd_fuzz(args) -> int:
                     ok = (solved.winner == "eloise") == (
                         char_formula(watched, left) == char_formula(watched, right)
                     )
+                    if ok and solved.winner == "abelard":
+                        # the losing line replays, through game_step, to a loss
+                        end = replay_trace(watched, left, right, solved.trace)
+                        ok = end.lost or (end.pending is not None and not legal_moves(end, "eloise"))
             else:
                 raise HdplError(f"unknown suite '{args.suite}'")
         except HdplError as exc:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from .checker import SignatureMismatchError, basic_agreement, game_property
@@ -279,27 +280,20 @@ def enumerate_game_sentences(tr: GameboardTree, size_cap: int) -> list[GameSente
         for label, child in node.children:
             theta = enum(child)
             if isinstance(label, DiaEdge):
-                choices: list[GSPart] = [
-                    GSDia(label.action, gs_set(sub))
-                    for r in range(len(theta) + 1)
-                    for sub in itertools.combinations(theta, r)
-                ]
+                part = partial(GSDia, label.action)
             elif isinstance(label, ExistsEdge):
-                x = _new_var(child)
-                choices = [
-                    GSExists(x, gs_set(sub))
-                    for r in range(len(theta) + 1)
-                    for sub in itertools.combinations(theta, r)
-                ]
+                part = partial(GSExists, _new_var(child))
             elif isinstance(label, AtEdge):
-                choices = [GSAt(label.name, g) for g in theta]
+                part = partial(GSAt, label.name)
             elif isinstance(label, StoreEdge):
-                choices = [GSStore(_new_var(child), g) for g in theta]
+                part = partial(GSStore, _new_var(child))
             elif isinstance(label, IdleEdge):
-                choices = [GSIdle(g) for g in theta]
+                part = GSIdle
             else:
                 raise TypeError(f"not an edge label: {label!r}")
-            component_choices.append(choices)
+            if isinstance(label, (DiaEdge, ExistsEdge)):  # a part per member set
+                theta = [gs_set(sub) for r in range(len(theta) + 1) for sub in itertools.combinations(theta, r)]
+            component_choices.append([part(g) for g in theta])
         return [GSNode(parts) for parts in itertools.product(*component_choices)]
 
     return enum(tr)
@@ -328,8 +322,14 @@ class EfResult:
 def ef_solve(tr: GameboardTree, left: PointedModel, right: PointedModel) -> EfResult:
     """Decide the game on `tr`: the survivor player wins iff the basic-sentence
     property holds now and every challenger option on either model has a
-    matching answer on the other. On a challenger win the trace is a
-    replayable move list ending in a property violation.
+    matching answer on the other.
+
+    One memoized search gives the verdict and, on a challenger win, the
+    losing line: the fewest rounds the challenger needs to force a property
+    violation (`loss_depth`) and a replayable trace. Along the line the
+    challenger takes the first option with the smallest depth and the
+    survivor the first answer with the largest depth, so the trace ends in a
+    violation or in a round the survivor cannot answer.
 
     A position is (node, left state, left environment, right state, right
     environment) over the two base models; a store or exists round appends
@@ -350,90 +350,64 @@ def ef_solve(tr: GameboardTree, left: PointedModel, right: PointedModel) -> EfRe
         return True
 
     def options(node, Lw, Lenv, Rv, Renv):
-        """Yield (edge_index, label, side, target, replies) per challenger
-        option; replies are the full positions the answer may reach."""
+        """Yield (edge_index, label, side, target, answers) per challenger
+        option; answers are (answering state, position) pairs, the state
+        None on the deterministic at, store and idle edges."""
         for i, (label, child) in enumerate(node.children):
             if isinstance(label, DiaEdge):
                 ls, rs = sl[label.action][Lw], sr[label.action][Rv]
                 for w2 in ls:
-                    yield i, label, "left", w2, [(child, w2, Lenv, v2, Renv) for v2 in rs]
+                    yield i, label, "left", w2, [(v2, (child, w2, Lenv, v2, Renv)) for v2 in rs]
                 for v2 in rs:
-                    yield i, label, "right", v2, [(child, w2, Lenv, v2, Renv) for w2 in ls]
+                    yield i, label, "right", v2, [(w2, (child, w2, Lenv, v2, Renv)) for w2 in ls]
             elif isinstance(label, AtEdge):
-                yield i, label, None, None, [
-                    (child, _point(Lm, node, Lenv, label.name), Lenv,
-                     _point(Rm, node, Renv, label.name), Renv)
-                ]
+                Lt, Rt = _point(Lm, node, Lenv, label.name), _point(Rm, node, Renv, label.name)
+                yield i, label, None, None, [(None, (child, Lt, Lenv, Rt, Renv))]
             elif isinstance(label, StoreEdge):
-                yield i, label, None, None, [(child, Lw, Lenv + (Lw,), Rv, Renv + (Rv,))]
+                yield i, label, None, None, [(None, (child, Lw, Lenv + (Lw,), Rv, Renv + (Rv,)))]
             elif isinstance(label, ExistsEdge):
                 for w1 in Lm.states:
                     yield i, label, "left", w1, [
-                        (child, Lw, Lenv + (w1,), Rv, Renv + (v1,)) for v1 in Rm.states
+                        (v1, (child, Lw, Lenv + (w1,), Rv, Renv + (v1,))) for v1 in Rm.states
                     ]
                 for v1 in Rm.states:
                     yield i, label, "right", v1, [
-                        (child, Lw, Lenv + (w1,), Rv, Renv + (v1,)) for w1 in Lm.states
+                        (w1, (child, Lw, Lenv + (w1,), Rv, Renv + (v1,))) for w1 in Lm.states
                     ]
             elif isinstance(label, IdleEdge):
-                yield i, label, None, None, [(child, Lw, Lenv, Rv, Renv)]
+                yield i, label, None, None, [(None, (child, Lw, Lenv, Rv, Renv))]
             else:
                 raise TypeError(f"not an edge label: {label!r}")
 
-    win_memo: dict[tuple, bool] = {}
+    memo: dict[tuple, tuple[int, tuple[TraceStep, ...]] | None] = {}
 
-    def win(node, Lw, Lenv, Rv, Renv) -> bool:
-        key = (id(node), Lw, Lenv, Rv, Renv)
-        got = win_memo.get(key)
-        if got is None:
-            got = win_memo[key] = agree(Lw, Lenv, Rv, Renv) and all(
-                any(win(*reply) for reply in replies)
-                for _, _, _, _, replies in options(node, Lw, Lenv, Rv, Renv)
-            )
-        return got
-
-    def reply_target(label, reply, side):
-        # recover the answering player's choice from a reply position
-        if side is None:
-            return None
-        _, rLw, rLenv, rRv, rRenv = reply
-        if isinstance(label, DiaEdge):
-            return rRv if side == "left" else rLw
-        return rRenv[-1] if side == "left" else rLenv[-1]
-
-    loss_memo: dict[tuple, tuple[int, list[TraceStep]]] = {}
-
-    def loss(node, Lw, Lenv, Rv, Renv) -> tuple[int, list[TraceStep]]:
-        """Minimal forced-loss depth and one best-resistance losing line, for
-        positions the survivor has already lost."""
+    def loss(node, Lw, Lenv, Rv, Renv) -> tuple[int, tuple[TraceStep, ...]] | None:
+        """None when the survivor wins from here, else (depth, line)."""
         if not agree(Lw, Lenv, Rv, Renv):
-            return 0, []
+            return 0, ()
         key = (id(node), Lw, Lenv, Rv, Renv)
-        best = loss_memo.get(key)
-        if best is not None:
-            return best
-        for i, label, side, target, replies in options(node, Lw, Lenv, Rv, Renv):
-            if any(win(*reply) for reply in replies):
-                continue
-            if not replies:
-                cand = (1, [TraceStep(i, edge_text(label), side, target, None)])
+        if key in memo:
+            return memo[key]
+        best = None
+        for i, label, side, target, answers in options(node, Lw, Lenv, Rv, Renv):
+            deepest = None  # (depth, answer, line) of the survivor's best answer
+            for eloise, reply in answers:
+                sub = loss(*reply)
+                if sub is None:
+                    break  # this answer survives: the option is refuted
+                if deepest is None or sub[0] > deepest[0]:
+                    deepest = (sub[0], eloise, sub[1])
             else:
-                depth, sub, eloise = max(
-                    (loss(*reply) + (reply_target(label, reply, side),) for reply in replies),
-                    key=lambda t: t[0],
-                )
-                cand = (1 + depth, [TraceStep(i, edge_text(label), side, target, eloise)] + sub)
-            if best is None or cand[0] < best[0]:
-                best = cand
-        assert best is not None, "loss() called on a winning position"
-        loss_memo[key] = best
+                depth, eloise, line = deepest or (0, None, ())
+                if best is None or depth + 1 < best[0]:
+                    best = (depth + 1, (TraceStep(i, edge_text(label), side, target, eloise),) + line)
+        memo[key] = best
         return best
 
-    root = (tr, left.current, (), right.current, ())
-    if win(*root):
+    found = loss(tr, left.current, (), right.current, ())
+    if found is None:
         return EfResult("eloise")
-    depth, trace = loss(*root)
-    return EfResult("abelard", tuple(trace), depth)
+    return EfResult("abelard", found[1], found[0])
 
 
 # ---------------------------------------------------------------------------
@@ -459,19 +433,12 @@ class EloiseMove:
 
 
 @dataclass(frozen=True)
-class PendingRound:
-    edge_index: int
-    side: str
-    target: str
-
-
-@dataclass(frozen=True)
 class GameState:
     tree: GameboardTree
     left: PointedModel
     right: PointedModel
     history: tuple[TraceStep, ...] = ()
-    pending: PendingRound | None = None
+    pending: AbelardMove | None = None  # the open half of a dia or exists round
     lost: bool = False  # property violated after a completed round
 
 
@@ -481,112 +448,68 @@ def start_game(tr: GameboardTree, left: PointedModel, right: PointedModel) -> Ga
     return GameState(tr, left, right, lost=not game_property(left, right))
 
 
+def _choices(label, pm: PointedModel) -> list[str]:
+    """The states a dia or exists half-move may pick on `pm`'s side."""
+    if isinstance(label, DiaEdge):
+        return [v for w, v in sorted(interpret_action(pm.model, label.action)) if w == pm.current]
+    return list(pm.model.states)
+
+
 def legal_moves(gs: GameState, player: str):
-    if gs.lost:
+    """The half-moves `player` may make now; none once the game is lost or
+    while it is the other player's turn."""
+    if player not in ("abelard", "eloise"):
+        raise GameError(f"unknown player '{player}'")
+    if gs.lost or (player == "eloise") != (gs.pending is not None):
         return []
-    if player == "abelard":
-        if gs.pending is not None:
-            return []
-        moves = []
-        for i, (label, child) in enumerate(gs.tree.children):
-            if isinstance(label, (AtEdge, StoreEdge, IdleEdge)):
-                moves.append(AbelardMove(i))
-            elif isinstance(label, DiaEdge):
-                for side, pm in (("left", gs.left), ("right", gs.right)):
-                    pairs = interpret_action(pm.model, label.action)
-                    for w, v in sorted(pairs):
-                        if w == pm.current:
-                            moves.append(AbelardMove(i, side, v))
-            elif isinstance(label, ExistsEdge):
-                for side, pm in (("left", gs.left), ("right", gs.right)):
-                    for w in pm.model.states:
-                        moves.append(AbelardMove(i, side, w))
-        return moves
     if player == "eloise":
-        if gs.pending is None:
-            return []
         label, _ = gs.tree.children[gs.pending.edge_index]
         other = gs.right if gs.pending.side == "left" else gs.left
-        if isinstance(label, DiaEdge):
-            pairs = interpret_action(other.model, label.action)
-            return [EloiseMove(v) for w, v in sorted(pairs) if w == other.current]
-        if isinstance(label, ExistsEdge):
-            return [EloiseMove(w) for w in other.model.states]
-        return []
-    raise GameError(f"unknown player '{player}'")
+        return [EloiseMove(v) for v in _choices(label, other)]
+    moves = []
+    for i, (label, _) in enumerate(gs.tree.children):
+        if isinstance(label, (DiaEdge, ExistsEdge)):
+            for side, pm in (("left", gs.left), ("right", gs.right)):
+                moves.extend(AbelardMove(i, side, v) for v in _choices(label, pm))
+        else:
+            moves.append(AbelardMove(i))
+    return moves
 
 
 def game_step(gs: GameState, move) -> GameState:
-    """Apply one half-move. Deterministic rounds (at/store/idle) complete in
-    the challenger's half-move; dia/exists rounds wait for the answer."""
-    if gs.lost:
-        raise IllegalMoveError("the game is already lost", [])
-    if isinstance(move, AbelardMove):
-        if gs.pending is not None:
-            raise IllegalMoveError("an answer is pending", legal_moves(gs, "eloise"))
-        if not (0 <= move.edge_index < len(gs.tree.children)):
-            raise IllegalMoveError(f"no edge {move.edge_index}", legal_moves(gs, "abelard"))
-        label, child = gs.tree.children[move.edge_index]
-        if isinstance(label, (AtEdge, StoreEdge, IdleEdge)):
-            if move.side is not None or move.target is not None:
-                raise IllegalMoveError("this edge is deterministic", legal_moves(gs, "abelard"))
-            if isinstance(label, AtEdge):
-                new_l = PointedModel(gs.left.model, gs.left.model.nominal_interp[label.name])
-                new_r = PointedModel(gs.right.model, gs.right.model.nominal_interp[label.name])
-            elif isinstance(label, StoreEdge):
-                x = _new_var(child)
-                new_l = PointedModel(expand(gs.left.model, x, gs.left.current), gs.left.current)
-                new_r = PointedModel(expand(gs.right.model, x, gs.right.current), gs.right.current)
-            else:
-                new_l, new_r = gs.left, gs.right
-            step = TraceStep(move.edge_index, edge_text(label), None, None, None)
-            return GameState(
-                child,
-                new_l,
-                new_r,
-                gs.history + (step,),
-                lost=not game_property(new_l, new_r),
-            )
-        if move not in legal_moves(gs, "abelard"):
-            raise IllegalMoveError(f"illegal move {move}", legal_moves(gs, "abelard"))
-        return GameState(
-            gs.tree,
-            gs.left,
-            gs.right,
-            gs.history,
-            pending=PendingRound(move.edge_index, move.side, move.target),
-        )
+    """Apply one half-move, which must be in `legal_moves` of the player to
+    move. Deterministic rounds (at/store/idle) complete in the challenger's
+    half-move; dia/exists rounds wait for the answer."""
+    legal = legal_moves(gs, "eloise" if gs.pending is not None else "abelard")
+    if move not in legal:
+        raise IllegalMoveError(f"illegal move {move!r}", legal)
     if isinstance(move, EloiseMove):
-        if gs.pending is None:
-            raise IllegalMoveError("no challenger half-move to answer", legal_moves(gs, "abelard"))
-        if move not in legal_moves(gs, "eloise"):
-            raise IllegalMoveError(f"illegal answer {move}", legal_moves(gs, "eloise"))
-        p = gs.pending
-        label, child = gs.tree.children[p.edge_index]
+        return _complete_round(gs, gs.pending, move.target)
+    if move.side is not None:
+        return GameState(gs.tree, gs.left, gs.right, gs.history, pending=move)
+    return _complete_round(gs, move, None)
+
+
+def _complete_round(gs: GameState, move: AbelardMove, answer: str | None) -> GameState:
+    """The state after the round `move` opened, `answer` being the survivor's
+    state on the other side in a dia or exists round."""
+    label, child = gs.tree.children[move.edge_index]
+    picked = {move.side: move.target, "right" if move.side == "left" else "left": answer}
+
+    def advance(pm: PointedModel, side: str) -> PointedModel:
+        if isinstance(label, AtEdge):
+            return PointedModel(pm.model, pm.model.nominal_interp[label.name])
         if isinstance(label, DiaEdge):
-            if p.side == "left":
-                new_l = PointedModel(gs.left.model, p.target)
-                new_r = PointedModel(gs.right.model, move.target)
-            else:
-                new_l = PointedModel(gs.left.model, move.target)
-                new_r = PointedModel(gs.right.model, p.target)
-        else:  # ExistsEdge
-            x = _new_var(child)
-            if p.side == "left":
-                new_l = PointedModel(expand(gs.left.model, x, p.target), gs.left.current)
-                new_r = PointedModel(expand(gs.right.model, x, move.target), gs.right.current)
-            else:
-                new_l = PointedModel(expand(gs.left.model, x, move.target), gs.left.current)
-                new_r = PointedModel(expand(gs.right.model, x, p.target), gs.right.current)
-        step = TraceStep(p.edge_index, edge_text(label), p.side, p.target, move.target)
-        return GameState(
-            child,
-            new_l,
-            new_r,
-            gs.history + (step,),
-            lost=not game_property(new_l, new_r),
-        )
-    raise IllegalMoveError(f"not a move: {move!r}", [])
+            return PointedModel(pm.model, picked[side])
+        if isinstance(label, StoreEdge):
+            return PointedModel(expand(pm.model, _new_var(child), pm.current), pm.current)
+        if isinstance(label, ExistsEdge):
+            return PointedModel(expand(pm.model, _new_var(child), picked[side]), pm.current)
+        return pm  # idle
+
+    left, right = advance(gs.left, "left"), advance(gs.right, "right")
+    step = TraceStep(move.edge_index, edge_text(label), move.side, move.target, answer)
+    return GameState(child, left, right, gs.history + (step,), lost=not game_property(left, right))
 
 
 def replay_trace(tr: GameboardTree, left: PointedModel, right: PointedModel, trace) -> GameState:

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -225,6 +226,18 @@ class TestPlay:
              "--as", "eloise"]
         )
         assert code == 1  # the human survivor cannot escape the forced loss
+
+    def test_stdin_ends_before_the_game_exit_two(self, demo_dir, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        code = main(
+            ["play", "--tree", "(dia l leaf)",
+             "--left", str(demo_dir / "loop.json") + ":0",
+             "--right", str(demo_dir / "loop.json") + ":0",
+             "--as", "abelard"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
 class TestCounterexampleDump:

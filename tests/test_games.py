@@ -236,6 +236,28 @@ class TestEfSolve:
             assert len(res.trace) == res.loss_depth
             replayed += 1
 
+    def test_loss_depth_is_the_first_height_where_characteristic_formulas_differ(self):
+        # on observing trees the challenger wins the game cut at height d iff
+        # the characteristic formulas over the cut tree differ
+        rng = random.Random(31)
+        checked = 0
+        while checked < 60:
+            sig = small_signature(rng)
+            f = rng.choice(FRAGMENTS)
+            tr = observing_tree(random_tree(rng, sig, f, (Rel("l"),)))
+            m1, m2 = random_model_pair(rng, sig, max_states=3)
+            left = PointedModel(m1, rng.choice(m1.states))
+            right = PointedModel(m2, rng.choice(m2.states))
+            res = ef_solve(tr, left, right)
+            if res.winner != "abelard" or res.loss_depth == 0:
+                continue  # depth 0 is a property violation at the start
+            differs = [
+                char_formula(prune_to_height(tr, d), left) != char_formula(prune_to_height(tr, d), right)
+                for d in range(res.loss_depth + 1)
+            ]
+            assert differs == [False] * res.loss_depth + [True]
+            checked += 1
+
 
 class TestRoundStepping:
     def test_idle_round_changes_nothing_but_the_tree(self):
@@ -263,6 +285,47 @@ class TestRoundStepping:
         with pytest.raises(IllegalMoveError) as err:
             game_step(gs, AbelardMove(0, "left", "0"))  # 0 is not an l-successor of 0
         assert err.value.legal
+
+    def _dia_game(self, left_state="0"):
+        left, right = fx.fork_pair()
+        tr = GameboardTree(SIG, ((DiaEdge(Rel("l")), leaf(SIG)),))
+        return start_game(tr, PointedModel(left.model, left_state), right)
+
+    def _rejected(self, gs, move):
+        with pytest.raises(IllegalMoveError) as err:
+            game_step(gs, move)
+        return err.value.legal
+
+    def test_answer_with_nothing_pending_rejected(self):
+        gs = self._dia_game()
+        legal = self._rejected(gs, EloiseMove("1"))
+        assert legal == legal_moves(gs, "abelard") and AbelardMove(0, "left", "2") in legal
+
+    def test_challenge_while_an_answer_is_pending_rejected(self):
+        gs = game_step(self._dia_game(), AbelardMove(0, "left", "2"))
+        assert self._rejected(gs, AbelardMove(0, "left", "1")) == [EloiseMove("1")]
+
+    def test_any_move_after_a_loss_rejected(self):
+        gs = self._dia_game("1")  # p holds at 1, not at the right start 0
+        assert gs.lost
+        for move in (AbelardMove(0, "left", "2"), EloiseMove("1")):
+            assert self._rejected(gs, move) == []
+
+    def test_side_or_target_on_a_deterministic_edge_rejected(self):
+        left, right = fx.fork_pair()
+        gs = start_game(parse_tree("(down leaf)", SIG), left, right)
+        for move in (AbelardMove(0, "left"), AbelardMove(0, None, "0"), AbelardMove(0, "left", "0")):
+            assert self._rejected(gs, move) == [AbelardMove(0)]
+
+    def test_edge_index_out_of_range_rejected(self):
+        gs = self._dia_game()
+        for index in (1, -1):
+            assert self._rejected(gs, AbelardMove(index)) == legal_moves(gs, "abelard")
+
+    def test_non_move_rejected(self):
+        gs = self._dia_game()
+        for move in ("0", 0, None, (0, "left", "2")):
+            assert self._rejected(gs, move) == legal_moves(gs, "abelard")
 
     def test_dia_round_two_half_moves(self):
         left, right = fx.fork_pair()
