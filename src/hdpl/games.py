@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 from .checker import SignatureMismatchError, basic_agreement, game_property
 from .gameboard import (
     AtEdge,
     DiaEdge,
+    EdgeLabel,
     ExistsEdge,
     GameboardTree,
     IdleEdge,
@@ -23,7 +23,6 @@ from .gameboard import (
 )
 from .kripke import KripkeModel, PointedModel, Successors, expand, interpret_action
 from .syntax import (
-    Action,
     And,
     At,
     Dia,
@@ -71,35 +70,14 @@ class GSLeaf:
 
 
 @dataclass(frozen=True)
-class GSDia:
-    action: Action
+class GSPart:
+    """The conjunct for one child edge: its label, the variable a store or
+    exists edge binds (else None), and a canonical member set, which holds
+    exactly one member on at, store and idle edges."""
+
+    edge: EdgeLabel
+    var: str | None
     members: tuple["GameSentence", ...]
-
-
-@dataclass(frozen=True)
-class GSAt:
-    name: str
-    member: "GameSentence"
-
-
-@dataclass(frozen=True)
-class GSStore:
-    var: str
-    member: "GameSentence"
-
-
-@dataclass(frozen=True)
-class GSExists:
-    var: str
-    members: tuple["GameSentence", ...]
-
-
-@dataclass(frozen=True)
-class GSIdle:
-    member: "GameSentence"
-
-
-GSPart = GSDia | GSAt | GSStore | GSExists | GSIdle
 
 
 @dataclass(frozen=True)
@@ -120,20 +98,33 @@ def gs_text(g) -> str:
         text = "{" + body + "}"
     elif isinstance(g, GSNode):
         text = "(" + " & ".join(gs_text(p) for p in g.parts) + ")"
-    elif isinstance(g, GSDia):
-        text = f"<{print_action(g.action)}>" + "{" + ",".join(gs_text(m) for m in g.members) + "}"
-    elif isinstance(g, GSAt):
-        text = f"@{g.name} " + gs_text(g.member)
-    elif isinstance(g, GSStore):
-        text = f"down {g.var} " + gs_text(g.member)
-    elif isinstance(g, GSExists):
-        text = f"exists {g.var} " + "{" + ",".join(gs_text(m) for m in g.members) + "}"
-    elif isinstance(g, GSIdle):
-        text = "idle " + gs_text(g.member)
+    elif isinstance(g, GSPart):
+        e = g.edge
+        if isinstance(e, DiaEdge):
+            head = f"<{print_action(e.action)}>"
+        elif isinstance(e, AtEdge):
+            head = f"@{e.name} "
+        else:  # down x, exists x, idle
+            head = edge_text(e) + (f" {g.var} " if g.var else " ")
+        if _holds_a_set(e):
+            text = head + "{" + ",".join(gs_text(m) for m in g.members) + "}"
+        else:
+            text = head + gs_text(g.members[0])
     else:
         raise TypeError(f"not a game sentence part: {g!r}")
     object.__setattr__(g, "_txt", text)
     return text
+
+
+def _holds_a_set(label: EdgeLabel) -> bool:
+    """Whether parts of this edge hold a member set: the survivor answers a
+    dia or exists round by choosing a state."""
+    return isinstance(label, (DiaEdge, ExistsEdge))
+
+
+def _bound_var(label: EdgeLabel, child: GameboardTree) -> str | None:
+    """The variable a store or exists edge binds; None on the other edges."""
+    return child.sig.bound_vars[-1] if isinstance(label, (StoreEdge, ExistsEdge)) else None
 
 
 def gs_set(members) -> tuple["GameSentence", ...]:
@@ -155,27 +146,20 @@ def lower_game_sentence(g: GameSentence) -> Sentence:
 
 
 def _lower_part(p: GSPart) -> Sentence:
-    if isinstance(p, GSDia):
-        lowered = [lower_game_sentence(m) for m in p.members]
-        return conj([Dia(p.action, s) for s in lowered] + [box(p.action, disj(lowered))])
-    if isinstance(p, GSAt):
-        return At(p.name, lower_game_sentence(p.member))
-    if isinstance(p, GSStore):
-        return Store(p.var, lower_game_sentence(p.member))
-    if isinstance(p, GSExists):
-        lowered = [lower_game_sentence(m) for m in p.members]
+    e, lowered = p.edge, [lower_game_sentence(m) for m in p.members]
+    if isinstance(e, DiaEdge):
+        return conj([Dia(e.action, s) for s in lowered] + [box(e.action, disj(lowered))])
+    if isinstance(e, ExistsEdge):
         return conj([Exists(p.var, s) for s in lowered] + [forall(p.var, disj(lowered))])
-    if isinstance(p, GSIdle):
-        return lower_game_sentence(p.member)
-    raise TypeError(f"not a game sentence part: {p!r}")
+    if isinstance(e, AtEdge):
+        return At(e.name, lowered[0])
+    if isinstance(e, StoreEdge):
+        return Store(p.var, lowered[0])
+    return lowered[0]  # idle
 
 
 # ---------------------------------------------------------------------------
 # Characteristic formulas (the unique satisfied game sentence)
-
-
-def _new_var(child: GameboardTree) -> str:
-    return child.sig.bound_vars[-1]
 
 
 def _point(m: KripkeModel, node: GameboardTree, env: tuple[str, ...], name: str) -> str:
@@ -219,18 +203,17 @@ def char_formula(tr: GameboardTree, pm: PointedModel) -> GameSentence:
             for label, child in node.children:
                 if isinstance(label, DiaEdge):
                     members = [char(child, v, env) for v in succ[label.action][w]]
-                    parts.append(GSDia(label.action, gs_set(members)))
                 elif isinstance(label, AtEdge):
-                    parts.append(GSAt(label.name, char(child, _point(m, node, env, label.name), env)))
+                    members = [char(child, _point(m, node, env, label.name), env)]
                 elif isinstance(label, StoreEdge):
-                    parts.append(GSStore(_new_var(child), char(child, w, env + (w,))))
+                    members = [char(child, w, env + (w,))]
                 elif isinstance(label, ExistsEdge):
                     members = [char(child, w, env + (v,)) for v in m.states]
-                    parts.append(GSExists(_new_var(child), gs_set(members)))
                 elif isinstance(label, IdleEdge):
-                    parts.append(GSIdle(char(child, w, env)))
+                    members = [char(child, w, env)]
                 else:
                     raise TypeError(f"not an edge label: {label!r}")
+                parts.append(GSPart(label, _bound_var(label, child), gs_set(members)))
             res = GSNode(tuple(parts))
         memo[key] = res
         return res
@@ -252,7 +235,7 @@ def predicted_theta_size(tr: GameboardTree, clamp: int) -> int:
         total = 1
         for label, child in node.children:
             inner = size(node=child)
-            if isinstance(label, (DiaEdge, ExistsEdge)):
+            if _holds_a_set(label):
                 factor = clamp + 1 if inner > 60 else min(2**inner, clamp + 1)
             else:
                 factor = inner
@@ -278,22 +261,12 @@ def enumerate_game_sentences(tr: GameboardTree, size_cap: int) -> list[GameSente
             return out
         component_choices: list[list[GSPart]] = []
         for label, child in node.children:
-            theta = enum(child)
-            if isinstance(label, DiaEdge):
-                part = partial(GSDia, label.action)
-            elif isinstance(label, ExistsEdge):
-                part = partial(GSExists, _new_var(child))
-            elif isinstance(label, AtEdge):
-                part = partial(GSAt, label.name)
-            elif isinstance(label, StoreEdge):
-                part = partial(GSStore, _new_var(child))
-            elif isinstance(label, IdleEdge):
-                part = GSIdle
+            theta, var = enum(child), _bound_var(label, child)
+            if _holds_a_set(label):
+                member_sets = [gs_set(sub) for r in range(len(theta) + 1) for sub in itertools.combinations(theta, r)]
             else:
-                raise TypeError(f"not an edge label: {label!r}")
-            if isinstance(label, (DiaEdge, ExistsEdge)):  # a part per member set
-                theta = [gs_set(sub) for r in range(len(theta) + 1) for sub in itertools.combinations(theta, r)]
-            component_choices.append([part(g) for g in theta])
+                member_sets = [(g,) for g in theta]
+            component_choices.append([GSPart(label, var, ms) for ms in member_sets])
         return [GSNode(parts) for parts in itertools.product(*component_choices)]
 
     return enum(tr)
@@ -468,7 +441,7 @@ def legal_moves(gs: GameState, player: str):
         return [EloiseMove(v) for v in _choices(label, other)]
     moves = []
     for i, (label, _) in enumerate(gs.tree.children):
-        if isinstance(label, (DiaEdge, ExistsEdge)):
+        if _holds_a_set(label):
             for side, pm in (("left", gs.left), ("right", gs.right)):
                 moves.extend(AbelardMove(i, side, v) for v in _choices(label, pm))
         else:
@@ -502,9 +475,9 @@ def _complete_round(gs: GameState, move: AbelardMove, answer: str | None) -> Gam
         if isinstance(label, DiaEdge):
             return PointedModel(pm.model, picked[side])
         if isinstance(label, StoreEdge):
-            return PointedModel(expand(pm.model, _new_var(child), pm.current), pm.current)
+            return PointedModel(expand(pm.model, _bound_var(label, child), pm.current), pm.current)
         if isinstance(label, ExistsEdge):
-            return PointedModel(expand(pm.model, _new_var(child), picked[side]), pm.current)
+            return PointedModel(expand(pm.model, _bound_var(label, child), picked[side]), pm.current)
         return pm  # idle
 
     left, right = advance(gs.left, "left"), advance(gs.right, "right")
@@ -580,38 +553,33 @@ def normal_form(s: Sentence, sig: Signature, frag: FragmentConfig) -> NormalForm
 
             def pred(g, all_preds=all_preds):
                 return all(
-                    p(part.member)
+                    p(part.members[0])
                     for part, preds in zip(g.parts, all_preds)
                     for p in preds
                 )
 
             return tree, pred
         if isinstance(t, Dia):
-            tr0, p = rec(t.body, scope)
-            tree = GameboardTree(scope, ((DiaEdge(t.action), tr0),))
-            return tree, lambda g, p=p: any(p(m) for m in g.parts[0].members)
-        if isinstance(t, At):
-            tr0, p = rec(t.body, scope)
-            tree = GameboardTree(scope, ((AtEdge(t.name), tr0),))
-            return tree, lambda g, p=p: p(g.parts[0].member)
-        if isinstance(t, Store):
-            inner, _ = _extend_matching(scope, t.var)
-            trx, p = rec(t.body, inner)
-            tree = GameboardTree(scope, ((StoreEdge(), trx),))
-            return tree, lambda g, p=p: p(g.parts[0].member)
-        if isinstance(t, Exists):
-            inner, _ = _extend_matching(scope, t.var)
-            trx, p = rec(t.body, inner)
-            tree = GameboardTree(scope, ((ExistsEdge(), trx),))
-            return tree, lambda g, p=p: any(p(m) for m in g.parts[0].members)
-        raise TypeError(f"not a sentence: {t!r}")
+            label, inner = DiaEdge(t.action), scope
+        elif isinstance(t, At):
+            label, inner = AtEdge(t.name), scope
+        elif isinstance(t, Store):
+            label, inner = StoreEdge(), _extend_matching(scope, t.var)
+        elif isinstance(t, Exists):
+            label, inner = ExistsEdge(), _extend_matching(scope, t.var)
+        else:
+            raise TypeError(f"not a sentence: {t!r}")
+        # some member of the only part satisfies the body: exact on at and
+        # store parts, which hold one member
+        tr0, p = rec(t.body, inner)
+        return GameboardTree(scope, ((label, tr0),)), lambda g, p=p: any(p(m) for m in g.parts[0].members)
 
     tree, pred = rec(s, sig)
     return NormalForm(tree=tree, contains=pred, sentence=s)
 
 
-def _extend_matching(scope: Signature, var: str) -> tuple[Signature, str]:
+def _extend_matching(scope: Signature, var: str) -> Signature:
     ext, fresh = extend_signature(scope)
     if fresh != var:
         raise GameError(f"binder variable '{var}' is not in canonical form")
-    return ext, fresh
+    return ext

@@ -11,7 +11,8 @@ Surface grammar (ASCII, precedence low -> high: `|`, `&`, prefix operators):
 Derived forms (`|`, `[a]`, `forall`, `false`) are expanded while parsing and
 never stored; the printer re-introduces them so that parse(print(s)) == s.
 Conjunctions are kept canonical: duplicate-free, sorted by a stable term
-ordering, and never unary.
+ordering, and never unary. Disjunctions, conjunctions of negations under a
+negation, are never unary either: a single disjunct stands for itself.
 """
 
 from __future__ import annotations
@@ -266,7 +267,9 @@ def conj(items: Iterable[Sentence]) -> Sentence:
 
 
 def disj(items: Iterable[Sentence]) -> Sentence:
-    return Neg(conj([Neg(s) for s in items]))
+    """Canonical disjunction ~(~a & ~b & ...); one disjunct stands alone."""
+    negated = conj([Neg(s) for s in items])
+    return negated.body if isinstance(negated, Neg) else Neg(negated)
 
 
 def box(action: Action, body: Sentence) -> Sentence:

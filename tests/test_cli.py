@@ -97,6 +97,18 @@ class TestCharform:
         assert code == 0
         assert data["game_sentence"] == "{p}"
 
+    def test_game_sentence_text_of_every_edge_kind(self, demo_dir, capsys):
+        code, data = run_json(
+            capsys, "charform",
+            "--tree", "(branch (idle leaf) (down (dia l leaf)) (exists leaf) (at k2 leaf) (dia l (idle leaf)))",
+            "--model", str(demo_dir / "chain3.json") + ":s0",
+        )
+        assert code == 0
+        assert data["game_sentence"] == (
+            "(idle {k1,~k2} & down x0 (<l>{{~k1,~k2,~x0}}) & exists x0 {{k1,~k2,x0},{k1,~k2,~x0}}"
+            " & @k2 {~k1,k2} & <l>{(idle {~k1,~k2})})"
+        )
+
 
 class TestNormalform:
     def test_member_listing(self, demo_dir, capsys):
@@ -142,6 +154,16 @@ class TestOmegaCommands:
         )
         assert code == 1
         assert data["winner"] == "abelard" and data["loss_rank"] == 2
+
+    @pytest.mark.parametrize("command", ["omega", "hm"])
+    def test_empty_fragment_is_the_boolean_core(self, demo_dir, capsys, command):
+        code, data = run_json(
+            capsys, command, "--fragment", "",
+            "--left", str(demo_dir / "fork_l.json") + ":0",
+            "--right", str(demo_dir / "fork_r.json") + ":0",
+        )
+        assert code == 0
+        assert data["fragment"] == "(boolean core)"
 
     def test_omega_two_relation_constructors(self, tmp_path, capsys):
         # the action-pair closure of this pair overflows its cap; the verdict

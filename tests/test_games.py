@@ -16,6 +16,7 @@ from hdpl.gameboard import (
     DiaEdge,
     GameboardTree,
     IdleEdge,
+    StoreEdge,
     complete_tree,
     leaf,
     parse_tree,
@@ -25,10 +26,9 @@ from hdpl.games import (
     AbelardMove,
     CapExceededError,
     EloiseMove,
-    GSDia,
     GSLeaf,
     GSNode,
-    GSStore,
+    GSPart,
     IllegalMoveError,
     char_formula,
     ef_solve,
@@ -73,14 +73,14 @@ class TestLowering:
         assert print_sentence(lower_game_sentence(GSLeaf(((Prop("p"), True),)))) == "p"
 
     def test_empty_member_set_is_box_false(self):
-        lowered = lower_game_sentence(GSNode((GSDia(Rel("l"), ()),)))
+        lowered = lower_game_sentence(GSNode((GSPart(DiaEdge(Rel("l")), None, ()),)))
         assert print_sentence(lowered) == "[l]false"
 
     def test_worked_two_member_component(self):
         sigx = Signature(relations=("l",), props=("p",), bound_vars=("x",))
         ga = GSLeaf(((Nom("x"), False), (Prop("p"), True)))
         gb = GSLeaf(((Nom("x"), False), (Prop("p"), False)))
-        lowered = lower_game_sentence(GSNode((GSDia(Rel("l"), gs_set([ga, gb])),)))
+        lowered = lower_game_sentence(GSNode((GSPart(DiaEdge(Rel("l")), None, gs_set([ga, gb])),)))
         expected = parse_sentence(
             "<l>(~x & p) & <l>(~x & ~p) & [l]((~x & p) | (~x & ~p))", sigx
         )
@@ -129,11 +129,11 @@ class TestWorkedNamedLoopChain:
         tr = parse_tree("(down (dia l (dia l leaf)))", SIG)
         not_x_and_p = GSLeaf(((Nom("x0"), False), (Prop("p"), True)))
         not_x_not_p = GSLeaf(((Nom("x0"), False), (Prop("p"), False)))
-        phi_g3 = GSNode((GSDia(Rel("l"), gs_set([not_x_and_p, not_x_not_p])),))
+        phi_g3 = GSNode((GSPart(DiaEdge(Rel("l")), None, gs_set([not_x_and_p, not_x_not_p])),))
         # the terminal p-successor of the start contributes the empty component
-        phi_end = GSNode((GSDia(Rel("l"), ()),))
-        phi_g2 = GSNode((GSDia(Rel("l"), gs_set([phi_g3, phi_end])),))
-        phi_g1 = GSNode((GSStore("x0", phi_g2),))
+        phi_end = GSNode((GSPart(DiaEdge(Rel("l")), None, ()),))
+        phi_g2 = GSNode((GSPart(DiaEdge(Rel("l")), None, gs_set([phi_g3, phi_end])),))
+        phi_g1 = GSNode((GSPart(StoreEdge(), "x0", (phi_g2,)),))
         assert char_formula(tr, right) == phi_g1
         assert char_formula(tr, left) != phi_g1
         lowered = lower_game_sentence(phi_g1)

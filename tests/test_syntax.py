@@ -20,6 +20,7 @@ from hdpl.syntax import (
     At,
     UndeclaredSymbolError,
     conj,
+    disj,
     extend_signature,
     parse_action,
     parse_sentence,
@@ -221,3 +222,4 @@ def test_conjunction_canonical_order_and_dedup():
     a, b = Prop("p"), Neg(Nom("k"))
     assert conj([a, b, a]) == conj([b, a])
     assert conj([a]) == a
+    assert disj([a]) == disj([a, a]) == a
