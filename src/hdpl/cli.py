@@ -66,7 +66,9 @@ def _read_text(path: str) -> str:
 
 
 def _read_formula(arg: str) -> str:
-    return _read_text(arg[1:]) if arg.startswith("@") else arg
+    """`@path` names a formula file when the path exists; any other argument,
+    `@k <l>p` among them, is formula text."""
+    return _read_text(arg[1:]) if arg.startswith("@") and os.path.exists(arg[1:]) else arg
 
 
 def _read_tree_text(arg: str) -> str:
@@ -386,9 +388,14 @@ def _cmd_fuzz(args) -> int:
             elif args.suite == "fh":
                 tr = random_tree(rng, sig, frag, default_actions(frag), theta_cap=256)
                 payload["tree"] = print_tree(tr)
-                theta = enumerate_game_sentences(tr, 256)
-                sat = [g for g in theta if satisfies(left, lower_game_sentence(g))]
-                ok = len(sat) == 1 and sat[0] == char_formula(tr, left)
+                # the text parses back to an equal tree, whose shared
+                # subtrees solve as the original's unshared ones do
+                parsed = parse_tree(payload["tree"], sig, frag)
+                ok = parsed == tr and ef_solve(parsed, left, right) == ef_solve(tr, left, right)
+                if ok:
+                    theta = enumerate_game_sentences(tr, 256)
+                    sat = [g for g in theta if satisfies(left, lower_game_sentence(g))]
+                    ok = len(sat) == 1 and sat[0] == char_formula(tr, left)
                 if ok:
                     # solver vs characteristic equality holds on trees where
                     # every node watches the property (see corpus.observing_tree)

@@ -12,6 +12,7 @@ Text format:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .syntax import (
     Action,
@@ -61,8 +62,20 @@ EdgeLabel = DiaEdge | AtEdge | StoreEdge | ExistsEdge | IdleEdge
 
 @dataclass(frozen=True)
 class GameboardTree:
+    """A node: its signature and its (edge label, child) pairs in order.
+
+    `parse_tree` and `complete_tree` build each distinct subtree once, so
+    equal subtrees are one object and memos keyed by node identity share
+    their work. The hash is computed once, at construction."""
+
     sig: Signature
     children: tuple[tuple[EdgeLabel, "GameboardTree"], ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.sig, self.children)))
+
+    def __hash__(self):
+        return self._hash
 
 
 class TreeError(HdplError):
@@ -141,49 +154,58 @@ def validate_tree(tr: GameboardTree, frag: FragmentConfig) -> TreeReport:
     """
     problems: list[str] = []
 
-    def walk(node: GameboardTree, path: str):
+    def spell(path) -> str:
+        steps = []
+        while path is not None:
+            path, i, label = path
+            steps.append(f"/{i}:{edge_text(label)}")
+        return "root" + "".join(reversed(steps))
+
+    def walk(node: GameboardTree, path):
+        """`path` is None at the root, else (parent path, edge index, label);
+        it is spelled out only when a problem is reported."""
         seen_labels = set()
         seen_idle = set()
         for i, (label, child) in enumerate(node.children):
-            here = f"{path}/{i}:{edge_text(label)}"
+            here = (path, i, label)
             if isinstance(label, IdleEdge):
                 if (label, child) in seen_idle:
-                    problems.append(f"duplicate idle edge (same subtree) at {here}")
+                    problems.append(f"duplicate idle edge (same subtree) at {spell(here)}")
                 seen_idle.add((label, child))
             else:
                 if label in seen_labels:
-                    problems.append(f"duplicate sibling label at {here}")
+                    problems.append(f"duplicate sibling label at {spell(here)}")
                 seen_labels.add(label)
             if isinstance(label, (StoreEdge, ExistsEdge)):
                 expected, _ = extend_signature(node.sig)
                 if child.sig != expected:
                     problems.append(
-                        f"child signature under {edge_text(label)} at {here} is not the"
+                        f"child signature under {edge_text(label)} at {spell(here)} is not the"
                         f" parent extended by the next fresh variable"
                     )
                 kind = "store" if isinstance(label, StoreEdge) else "exists"
                 if kind not in frag.ops:
-                    problems.append(f"edge kind '{kind}' not enabled at {here}")
+                    problems.append(f"edge kind '{kind}' not enabled at {spell(here)}")
             else:
                 if child.sig != node.sig:
-                    problems.append(f"child signature changes across {edge_text(label)} at {here}")
+                    problems.append(f"child signature changes across {edge_text(label)} at {spell(here)}")
                 if isinstance(label, DiaEdge):
                     if "diamond" not in frag.ops:
-                        problems.append(f"edge kind 'diamond' not enabled at {here}")
+                        problems.append(f"edge kind 'diamond' not enabled at {spell(here)}")
                     bad_ctors = _ctors_of(label.action) - frag.action_ctors
                     if bad_ctors:
-                        problems.append(f"action constructors {sorted(bad_ctors)} not enabled at {here}")
+                        problems.append(f"action constructors {sorted(bad_ctors)} not enabled at {spell(here)}")
                     undeclared = _rels_of(label.action) - set(node.sig.relations)
                     if undeclared:
-                        problems.append(f"undeclared relations {sorted(undeclared)} at {here}")
+                        problems.append(f"undeclared relations {sorted(undeclared)} at {spell(here)}")
                 elif isinstance(label, AtEdge):
                     if "at" not in frag.ops:
-                        problems.append(f"edge kind 'at' not enabled at {here}")
+                        problems.append(f"edge kind 'at' not enabled at {spell(here)}")
                     if label.name not in node.sig.point_names():
-                        problems.append(f"undeclared name '{label.name}' at {here}")
+                        problems.append(f"undeclared name '{label.name}' at {spell(here)}")
             walk(child, here)
 
-    walk(tr, "root")
+    walk(tr, None)
     return TreeReport(not problems, tuple(problems))
 
 
@@ -200,29 +222,32 @@ def complete_tree(
     """The tree exploring, at every node above the leaves, exactly one move
     per enabled option: idle, store, exists, one at-edge per nominal and
     bound variable, and one dia-edge per supplied action. All subtrees have
-    equal height."""
+    equal height. Each distinct subtree is built once, one per (signature,
+    height): the idle, at and dia edges of a node share one child, and its
+    store and exists edges another."""
     if height < 0:
         raise TreeError("height must be >= 0")
     actions = tuple(actions)
     if "diamond" in frag.ops and not actions:
         raise TreeError("diamond is enabled but the action list is empty")
-    if height == 0:
-        return leaf(sig)
-    children: list[tuple[EdgeLabel, GameboardTree]] = []
-    children.append((IdleEdge(), complete_tree(sig, frag, height - 1, actions)))
-    if "store" in frag.ops:
-        ext, _ = extend_signature(sig)
-        children.append((StoreEdge(), complete_tree(ext, frag, height - 1, actions)))
-    if "exists" in frag.ops:
-        ext, _ = extend_signature(sig)
-        children.append((ExistsEdge(), complete_tree(ext, frag, height - 1, actions)))
-    if "at" in frag.ops:
-        for name in sig.point_names():
-            children.append((AtEdge(name), complete_tree(sig, frag, height - 1, actions)))
-    if "diamond" in frag.ops:
-        for a in actions:
-            children.append((DiaEdge(a), complete_tree(sig, frag, height - 1, actions)))
-    return GameboardTree(sig, tuple(children))
+
+    @cache
+    def build(sig: Signature, height: int) -> GameboardTree:
+        if height == 0:
+            return leaf(sig)
+        same = build(sig, height - 1)
+        children: list[tuple[EdgeLabel, GameboardTree]] = [(IdleEdge(), same)]
+        if "store" in frag.ops:
+            children.append((StoreEdge(), build(extend_signature(sig)[0], height - 1)))
+        if "exists" in frag.ops:
+            children.append((ExistsEdge(), build(extend_signature(sig)[0], height - 1)))
+        if "at" in frag.ops:
+            children.extend((AtEdge(name), same) for name in sig.point_names())
+        if "diamond" in frag.ops:
+            children.extend((DiaEdge(a), same) for a in actions)
+        return GameboardTree(sig, tuple(children))
+
+    return build(sig, height)
 
 
 def prune_to_height(tr: GameboardTree, height: int) -> GameboardTree:
@@ -248,10 +273,12 @@ def print_tree(tr: GameboardTree) -> str:
 
 
 def parse_tree(text: str, sig: Signature, frag: FragmentConfig | None = None) -> GameboardTree:
-    """Parse the text format against a root signature. If a fragment is
-    given, the result is validated and an invalid tree raises TreeError."""
+    """Parse the text format against a root signature. Each distinct subtree
+    is built once, so equal subtrees of the result are one object. If a
+    fragment is given, the result is validated and an invalid tree raises
+    TreeError."""
     ts = _TokenStream(tokenize(text), len(text))
-    tr = _parse_tree(ts, sig)
+    tr = _parse_tree(ts, sig, {})
     if ts.peek() is not None:
         raise ParseError(f"trailing input {ts.peek()!r}", ts.pos())
     if frag is not None:
@@ -261,45 +288,51 @@ def parse_tree(text: str, sig: Signature, frag: FragmentConfig | None = None) ->
     return tr
 
 
-def _parse_tree(ts: _TokenStream, sig: Signature) -> GameboardTree:
+_ALL_ACTIONS = FragmentConfig.full()
+
+
+def _parse_tree(ts: _TokenStream, sig: Signature, built: dict) -> GameboardTree:
+    """`built` maps each node parsed so far to itself. A node's children are
+    already shared, so a node equal to an earlier one matches it on its
+    signature and, by identity, on its children."""
     tok = ts.peek()
     if tok == "leaf":
         ts.next()
-        return leaf(sig)
-    if tok != "(":
+        children = ()
+    elif tok != "(":
         raise ParseError(f"expected 'leaf' or '(', found {tok!r}", ts.pos())
-    ts.next()
-    if ts.peek() == "branch":
+    else:
         ts.next()
-        children = []
-        while ts.peek() == "(":
+        if ts.peek() == "branch":
             ts.next()
-            children.append(_parse_edge(ts, sig))
-            ts.expect(")")
-        if not children:
-            raise ParseError("branch needs at least one edge", ts.pos())
+            edges = []
+            while ts.peek() == "(":
+                ts.next()
+                edges.append(_parse_edge(ts, sig, built))
+                ts.expect(")")
+            if not edges:
+                raise ParseError("branch needs at least one edge", ts.pos())
+            children = tuple(edges)
+        else:
+            children = (_parse_edge(ts, sig, built),)
         ts.expect(")")
-        return GameboardTree(sig, tuple(children))
-    child = _parse_edge(ts, sig)
-    ts.expect(")")
-    return GameboardTree(sig, (child,))
+    node = GameboardTree(sig, children)
+    return built.setdefault(node, node)
 
 
-def _parse_edge(ts: _TokenStream, sig: Signature) -> tuple[EdgeLabel, GameboardTree]:
+def _parse_edge(ts: _TokenStream, sig: Signature, built: dict) -> tuple[EdgeLabel, GameboardTree]:
     pos = ts.pos()
     kind = ts.ident("edge kind")
     if kind == "idle":
-        return IdleEdge(), _parse_tree(ts, sig)
+        return IdleEdge(), _parse_tree(ts, sig, built)
     if kind == "down":
-        ext, _ = extend_signature(sig)
-        return StoreEdge(), _parse_tree(ts, ext)
+        return StoreEdge(), _parse_tree(ts, extend_signature(sig)[0], built)
     if kind == "exists":
-        ext, _ = extend_signature(sig)
-        return ExistsEdge(), _parse_tree(ts, ext)
+        return ExistsEdge(), _parse_tree(ts, extend_signature(sig)[0], built)
     if kind == "at":
         name = ts.ident("nominal or variable")
-        return AtEdge(name), _parse_tree(ts, sig)
+        return AtEdge(name), _parse_tree(ts, sig, built)
     if kind == "dia":
-        action = _parse_act_union(ts, sig, FragmentConfig.full())
-        return DiaEdge(action), _parse_tree(ts, sig)
+        action = _parse_act_union(ts, sig, _ALL_ACTIONS)
+        return DiaEdge(action), _parse_tree(ts, sig, built)
     raise ParseError(f"unknown edge kind {kind!r}", pos)

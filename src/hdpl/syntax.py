@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 OPS = ("diamond", "at", "store", "exists")
@@ -85,6 +86,15 @@ class Signature:
         """Names usable as state designators: nominals plus bound variables."""
         return self.nominals + self.bound_vars
 
+    @cached_property
+    def _extension(self) -> tuple["Signature", str]:
+        n = len(self.bound_vars)
+        taken = self.all_names()
+        while f"x{n}" in taken:
+            n += 1
+        var = f"x{n}"
+        return Signature(self.nominals, self.relations, self.props, self.bound_vars + (var,)), var
+
     @classmethod
     def from_dict(cls, d: dict) -> "Signature":
         if not isinstance(d, dict):
@@ -108,14 +118,9 @@ class Signature:
 
 def extend_signature(sig: Signature) -> tuple[Signature, str]:
     """Extend `sig` with a fresh variable, named x0, x1, ... by extension
-    depth (skipping ahead if a declared symbol already uses the name)."""
-    n = len(sig.bound_vars)
-    taken = sig.all_names()
-    while f"x{n}" in taken:
-        n += 1
-    var = f"x{n}"
-    new = Signature(sig.nominals, sig.relations, sig.props, sig.bound_vars + (var,))
-    return new, var
+    depth (skipping ahead if a declared symbol already uses the name). The
+    result is computed once per signature object and then returned again."""
+    return sig._extension
 
 
 def extend_signature_with(sig: Signature, var: str) -> Signature:
@@ -359,18 +364,17 @@ def _print(s: Sentence, need: int) -> str:
 # ---------------------------------------------------------------------------
 # Tokenizer (shared by the sentence, action and gameboard-tree parsers)
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|[()<>\[\]~&|@.;+*]|\S")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+# group 1 is a token; a match outside it is a character no token starts with
+_TOKEN_RE = re.compile(rf"({_IDENT_RE.pattern}|[()<>\[\]~&|@.;+*])|\S")
 
 
 def tokenize(text: str) -> list[tuple[str, int]]:
     tokens = []
     for m in _TOKEN_RE.finditer(text):
-        tok = m.group(0)
-        if tok.isspace():
-            continue
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*|[()<>\[\]~&|@.;+*]", tok):
-            raise ParseError(f"unexpected character {tok!r}", m.start())
-        tokens.append((tok, m.start()))
+        if m.lastindex is None:
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((m.group(), m.start()))
     return tokens
 
 
@@ -401,7 +405,7 @@ class _TokenStream:
 
     def ident(self, what: str = "identifier") -> str:
         got = self.peek()
-        if got is None or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", got):
+        if got is None or not _IDENT_RE.fullmatch(got):
             raise ParseError(f"expected {what}, found {got!r}", self.pos())
         return self.next()
 
@@ -569,7 +573,7 @@ def _parse_prefix(ts, sig, frag) -> Sentence:
     if tok == "false":
         ts.next()
         return FALSE
-    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", tok):
+    if _IDENT_RE.fullmatch(tok):
         ts.next()
         if tok in sig.props:
             return Prop(tok)

@@ -120,6 +120,22 @@ class TestNormalform:
         assert data["theta_size"] == 8
         assert len(data["members"]) == 2
 
+    def test_formula_starting_with_retrieve_is_text(self, demo_dir, capsys):
+        code, data = run_json(
+            capsys, "normalform", "--formula", "@k1 <l>k2",
+            "--sig", str(demo_dir / "sig_nom.json"),
+        )
+        assert code == 0
+        assert data["tree"] == "(at k1 (dia l leaf))"
+        assert data["theta_size"] == 16
+
+    def test_formula_from_file(self, demo_dir, tmp_path, capsys):
+        path = tmp_path / "retrieve.txt"
+        path.write_text("@k1 <l>k2")
+        inline = run_json(capsys, "normalform", "--formula", "@k1 <l>k2", "--sig", str(demo_dir / "sig_nom.json"))
+        from_file = run_json(capsys, "normalform", "--formula", f"@{path}", "--sig", str(demo_dir / "sig_nom.json"))
+        assert from_file == inline
+
 
 class TestTree:
     def test_complete_and_validate_round_trip(self, demo_dir, capsys):

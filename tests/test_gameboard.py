@@ -73,6 +73,30 @@ class TestValidate:
         tr = GameboardTree(SIG, ((AtEdge("nope"), leaf(SIG)),))
         assert not validate_tree(tr, FULL).ok
 
+    def test_invalid_subtree_reported_at_every_occurrence(self):
+        bad = GameboardTree(SIG, ((IdleEdge(), leaf(SIG)), (AtEdge("nope"), leaf(SIG))))
+        ext, _ = extend_signature(SIG)
+        tr = GameboardTree(
+            SIG,
+            (
+                (IdleEdge(), bad),
+                (DiaEdge(Rel("l")), bad),
+                (StoreEdge(), GameboardTree(ext, ((IdleEdge(), leaf(ext)),))),
+            ),
+        )
+        assert validate_tree(tr, frag({"diamond", "at"})).problems == (
+            "undeclared name 'nope' at root/0:idle/1:at nope",
+            "undeclared name 'nope' at root/1:dia l/1:at nope",
+            "edge kind 'store' not enabled at root/2:down",
+        )
+        with pytest.raises(TreeError) as err:
+            parse_tree(print_tree(tr), SIG, frag({"diamond", "at"}))
+        assert str(err.value) == (
+            "invalid tree: undeclared name 'nope' at root/0:idle/1:at nope;"
+            " undeclared name 'nope' at root/1:dia l/1:at nope;"
+            " edge kind 'store' not enabled at root/2:down"
+        )
+
 
 class TestCompleteTree:
     def test_height_zero_is_leaf(self):
@@ -154,9 +178,82 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             parse_tree("(dia l", SIG)
 
+    @pytest.mark.parametrize("text, pos", [("(dia l $)", 7), ("(branch (idle leaf) $", 20), ("$leaf", 0)])
+    def test_unexpected_character_at_its_offset(self, text, pos):
+        with pytest.raises(ParseError) as err:
+            parse_tree(text, SIG)
+        assert str(err.value) == f"unexpected character '$' (at position {pos})"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("((idle leaf))", "expected edge kind, found '(' (at position 1)"),
+            ("(branch (+ leaf))", "expected edge kind, found '+' (at position 9)"),
+            ("(", "expected edge kind, found None (at position 1)"),
+            ("(walk leaf)", "unknown edge kind 'walk' (at position 1)"),
+            ("(at ( leaf)", "expected nominal or variable, found '(' (at position 4)"),
+        ],
+    )
+    def test_bad_edge_kind(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_tree(text, SIG)
+        assert str(err.value) == message
+
     def test_validation_error_raised_with_fragment(self):
         with pytest.raises(TreeError):
             parse_tree("(down leaf)", SIG, frag({"diamond"}))
+
+
+def occurrences(tr):
+    yield tr
+    for _, child in tr.children:
+        yield from occurrences(child)
+
+
+def assert_maximally_shared(tr):
+    """Equal subtrees are one object: as many objects as distinct subtrees."""
+    nodes = list(occurrences(tr))
+    assert len({id(node) for node in nodes}) == len(set(nodes))
+
+
+class TestSharing:
+    def test_parse_shares_equal_subtrees(self):
+        tr = parse_tree("(branch (idle (dia l leaf)) (dia l (dia l leaf)) (down (dia l leaf)))", SIG)
+        (_, idle), (_, dia), (_, down) = tr.children
+        assert idle is dia
+        # the same text under the store edge is over the extended signature
+        assert down.sig == extend_signature(SIG)[0] and down != idle
+        assert_maximally_shared(tr)
+
+    def test_parse_shares_complete_trees(self):
+        for f in FRAGMENTS:
+            text = print_tree(complete_tree(fx.SIG_NOM, f, 3, (Rel("l"), Star(Rel("l")))))
+            tr = parse_tree(text, fx.SIG_NOM)
+            assert_maximally_shared(tr)
+            assert print_tree(tr) == text
+
+    def test_complete_tree_builds_each_distinct_subtree_once(self):
+        f = frag({"diamond", "at", "store", "exists"}, {"star"})
+        tr = complete_tree(fx.SIG_NOM, f, 3, (Rel("l"), Star(Rel("l"))))
+        labels = [type(label) for label, _ in tr.children]
+        assert labels == [IdleEdge, StoreEdge, ExistsEdge, AtEdge, AtEdge, DiaEdge, DiaEdge]
+        same = {id(child) for label, child in tr.children if not isinstance(label, (StoreEdge, ExistsEdge))}
+        ext = {id(child) for label, child in tr.children if isinstance(label, (StoreEdge, ExistsEdge))}
+        assert len(same) == len(ext) == 1 and same != ext
+        assert_maximally_shared(tr)
+        # one object per (signature, height): bound-variable counts 0..3-h at height h
+        assert len({id(node) for node in occurrences(tr)}) == 4 + 3 + 2 + 1
+
+    def test_shared_tree_equals_unshared_copy(self):
+        tr = complete_tree(SIG, FULL, 3, (Rel("l"),))
+        copy = prune_to_height(tr, 3)
+        assert copy == tr and hash(copy) == hash(tr)
+        assert len({id(node) for node in occurrences(copy)}) == count_nodes(tr)
+
+    def test_duplicate_idle_edges_still_reported(self):
+        with pytest.raises(TreeError) as err:
+            parse_tree("(branch (idle (dia l leaf)) (idle (dia l leaf)))", SIG, FULL)
+        assert str(err.value) == "invalid tree: duplicate idle edge (same subtree) at root/1:idle"
 
 
 class TestSignatureAnnotations:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hdpl import fixtures as fx
-from hdpl.checker import satisfies
+from hdpl.checker import basic_agreement, satisfies
 from hdpl.corpus import (
     FRAGMENTS,
     observing_tree,
@@ -20,6 +20,7 @@ from hdpl.gameboard import (
     complete_tree,
     leaf,
     parse_tree,
+    print_tree,
     prune_to_height,
 )
 from hdpl.games import (
@@ -50,6 +51,7 @@ from hdpl.syntax import (
     Prop,
     Rel,
     Signature,
+    Star,
     extend_signature,
     parse_sentence,
     print_sentence,
@@ -257,6 +259,65 @@ class TestEfSolve:
             ]
             assert differs == [False] * res.loss_depth + [True]
             checked += 1
+
+
+def unshared(tr):
+    """A copy of `tr` in which every occurrence of a subtree is its own object."""
+    return GameboardTree(tr.sig, tuple((label, unshared(child)) for label, child in tr.children))
+
+
+# the fragments and tree actions of the benchmark's finite games
+FINITE_GAMES = [
+    ("diamond,store", (Rel("l"),)),
+    ("diamond,at,store", (Rel("l"),)),
+    ("diamond,at,store,star", (Rel("l"), Star(Rel("l")))),
+    ("diamond,store,exists", (Rel("l"),)),
+]
+
+
+def agreeing_pair(rng, sig, max_states):
+    """A random model pair started at states that agree on the basic
+    sentences, so that a game does not end before its first round."""
+    m1, m2 = random_model_pair(rng, sig, max_states=max_states)
+    starts = sorted(pair for pair, ok in basic_agreement(m1, m2).items() if ok)
+    w, v = rng.choice(starts) if starts else (m1.states[0], m1.states[0])
+    return PointedModel(m1, w), PointedModel(m2 if starts else m1, v)
+
+
+class TestSharedSubtrees:
+    """Parsed and complete trees share equal subtrees; the memos of `ef_solve`
+    and `char_formula`, keyed by node identity, then solve each once. Their
+    results must equal those on an unshared copy of the tree."""
+
+    @staticmethod
+    def assert_same_results(shared, left, right):
+        copy = unshared(shared)
+        assert copy == shared and copy is not shared
+        assert ef_solve(shared, left, right) == ef_solve(copy, left, right)
+        for pm in (left, right):
+            assert char_formula(shared, pm) == char_formula(copy, pm)
+
+    @pytest.mark.parametrize("fragment, actions", FINITE_GAMES, ids=[f for f, _ in FINITE_GAMES])
+    def test_complete_tree_texts_of_the_finite_games(self, fragment, actions):
+        f = FragmentConfig.parse(fragment)
+        rng = random.Random(fragment)
+        for height, max_states, pairs in ((1, 4, 8), (2, 4, 8), (3, 3, 4)):
+            for _ in range(pairs):
+                sig = small_signature(rng)
+                text = print_tree(complete_tree(sig, f, height, actions))
+                tr = parse_tree(text, sig, f)
+                assert tr.children[0][1] is tr.children[-1][1]  # the idle and last dia child
+                left, right = agreeing_pair(rng, sig, max_states)
+                self.assert_same_results(tr, left, right)
+                self.assert_same_results(complete_tree(sig, f, height, actions), left, right)
+
+    def test_random_trees_and_pairs(self):
+        rng = random.Random(23)
+        for _ in range(150):
+            sig = small_signature(rng)
+            f = rng.choice(FRAGMENTS)
+            tr = parse_tree(print_tree(random_tree(rng, sig, f, (Rel("l"),))), sig, f)
+            self.assert_same_results(tr, *agreeing_pair(rng, sig, 3))
 
 
 class TestRoundStepping:

@@ -58,6 +58,18 @@ class TestParse:
             parse_sentence("p & & q", SIG)
         assert err.value.pos == 4
 
+    @pytest.mark.parametrize("text, pos", [("p & $q", 4), ("$", 0), ("<l>p$", 4), ("p\n  & q$", 7)])
+    def test_unexpected_character_at_its_offset(self, text, pos):
+        with pytest.raises(ParseError) as err:
+            parse_sentence(text, SIG)
+        assert err.value.pos == pos
+        assert str(err.value) == f"unexpected character '$' (at position {pos})"
+
+    def test_non_ascii_letter_is_an_unexpected_character(self):
+        with pytest.raises(ParseError) as err:
+            parse_sentence("pé", SIG)
+        assert str(err.value) == "unexpected character 'é' (at position 1)"
+
     def test_binder_collision(self):
         with pytest.raises(ParseError):
             parse_sentence("down k . p", SIG)
