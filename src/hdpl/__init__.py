@@ -43,12 +43,9 @@ from .kripke import (
 )
 from .checker import game_property, satisfies
 from .gameboard import (
-    AtEdge,
-    DiaEdge,
-    ExistsEdge,
+    KINDS,
+    Edge,
     GameboardTree,
-    IdleEdge,
-    StoreEdge,
     complete_tree,
     parse_tree,
     print_tree,

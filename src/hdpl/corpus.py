@@ -6,15 +6,7 @@ from __future__ import annotations
 
 import random
 
-from .gameboard import (
-    AtEdge,
-    DiaEdge,
-    ExistsEdge,
-    GameboardTree,
-    IdleEdge,
-    StoreEdge,
-    leaf,
-)
+from .gameboard import Edge, GameboardTree, child_signature, leaf
 from .games import predicted_theta_size
 from .kripke import KripkeModel, generate_random_model
 from .syntax import (
@@ -134,8 +126,6 @@ def random_tree(
         if height == 0 or rng.random() < 0.3:
             return leaf(scope)
         children = []
-        used_at: set[str] = set()
-        used_dia: set[Action] = set()
         n_children = rng.randint(1, 2)
         for _ in range(n_children):
             kinds = ["idle"]
@@ -144,33 +134,18 @@ def random_tree(
             if "at" in frag.ops and scope.point_names():
                 kinds.append("at")
             if "store" in frag.ops:
-                kinds.append("store")
+                kinds.append("down")
             if "exists" in frag.ops:
                 kinds.append("exists")
             kind = rng.choice(kinds)
-            if kind == "idle":
-                edge = (IdleEdge(), build(scope, height - 1))
-                if edge in children:
-                    continue
-                children.append(edge)
-            elif kind == "dia":
-                a = rng.choice(actions)
-                if a in used_dia:
-                    continue
-                used_dia.add(a)
-                children.append((DiaEdge(a), build(scope, height - 1)))
-            elif kind == "at":
-                name = rng.choice(scope.point_names())
-                if name in used_at:
-                    continue
-                used_at.add(name)
-                children.append((AtEdge(name), build(scope, height - 1)))
-            else:
-                inner, _ = extend_signature(scope)
-                label = StoreEdge() if kind == "store" else ExistsEdge()
-                if any(lab == label for lab, _ in children):
-                    continue
-                children.append((label, build(inner, height - 1)))
+            arg = rng.choice(actions) if kind == "dia" else rng.choice(scope.point_names()) if kind == "at" else None
+            label = Edge(kind, arg)
+            if kind != "idle" and any(lab == label for lab, _ in children):
+                continue
+            edge = (label, build(child_signature(scope, kind), height - 1))
+            if edge in children:  # a repeated idle edge
+                continue
+            children.append(edge)
         if not children:
             return leaf(scope)
         return GameboardTree(scope, tuple(children))
@@ -194,8 +169,8 @@ def observing_tree(tr: GameboardTree) -> GameboardTree:
     if not tr.children:
         return tr
     children = [(lab, observing_tree(ch)) for lab, ch in tr.children]
-    if not any(isinstance(lab, IdleEdge) for lab, _ in children):
-        children.insert(0, (IdleEdge(), leaf(tr.sig)))
+    if not any(lab.kind == "idle" for lab, _ in children):
+        children.insert(0, (Edge("idle"), leaf(tr.sig)))
     return GameboardTree(tr.sig, tuple(children))
 
 

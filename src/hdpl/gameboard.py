@@ -11,53 +11,54 @@ Text format:
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache
 
 from .syntax import (
+    ACTION_CTOR,
     Action,
     FragmentConfig,
     HdplError,
     ParseError,
     Rel,
     Signature,
-    Star,
-    Comp,
-    Union,
     _TokenStream,
     _parse_act_union,
     extend_signature,
     print_action,
     tokenize,
+    walk_action,
 )
 
 
-@dataclass(frozen=True)
-class DiaEdge:
-    action: Action
-
-
-@dataclass(frozen=True)
-class AtEdge:
-    name: str
-
-
-@dataclass(frozen=True)
-class StoreEdge:
+class TreeError(HdplError):
     pass
 
 
-@dataclass(frozen=True)
-class ExistsEdge:
-    pass
+# Each edge kind, spelled as in the text format: the fragment operator that
+# enables it (None: always enabled), and whether it binds a fresh variable,
+# so that its child's signature is the parent's extended by one.
+KINDS: dict[str, tuple[str | None, bool]] = {
+    "idle": (None, False),
+    "down": ("store", True),
+    "exists": ("exists", True),
+    "at": ("at", False),
+    "dia": ("diamond", False),
+}
 
 
-@dataclass(frozen=True)
-class IdleEdge:
-    pass
+class Edge(namedtuple("Edge", "kind arg")):
+    """An edge label: `arg` is the action of a dia edge or the name of an at
+    edge, and None on the other kinds. A tuple, so hashing and comparing
+    labels, which every tree node does, runs in C."""
 
+    __slots__ = ()
 
-EdgeLabel = DiaEdge | AtEdge | StoreEdge | ExistsEdge | IdleEdge
+    def __new__(cls, kind: str, arg: Action | str | None = None):
+        if kind not in KINDS or (arg is None) == (kind in ("at", "dia")):
+            raise TreeError(f"not an edge label: {kind!r} with argument {arg!r}")
+        return tuple.__new__(cls, (kind, arg))
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class GameboardTree:
     their work. The hash is computed once, at construction."""
 
     sig: Signature
-    children: tuple[tuple[EdgeLabel, "GameboardTree"], ...] = ()
+    children: tuple[tuple[Edge, "GameboardTree"], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.sig, self.children)))
@@ -78,12 +79,14 @@ class GameboardTree:
         return self._hash
 
 
-class TreeError(HdplError):
-    pass
-
-
 def leaf(sig: Signature) -> GameboardTree:
     return GameboardTree(sig, ())
+
+
+def child_signature(sig: Signature, kind: str) -> Signature:
+    """The signature the child of an edge of this kind has under a node over
+    `sig`."""
+    return extend_signature(sig)[0] if KINDS[kind][1] else sig
 
 
 def tree_height(tr: GameboardTree) -> int:
@@ -96,18 +99,10 @@ def count_nodes(tr: GameboardTree) -> int:
     return 1 + sum(count_nodes(child) for _, child in tr.children)
 
 
-def edge_text(label: EdgeLabel) -> str:
-    if isinstance(label, DiaEdge):
-        return f"dia {print_action(label.action)}"
-    if isinstance(label, AtEdge):
-        return f"at {label.name}"
-    if isinstance(label, StoreEdge):
-        return "down"
-    if isinstance(label, ExistsEdge):
-        return "exists"
-    if isinstance(label, IdleEdge):
-        return "idle"
-    raise TypeError(f"not an edge label: {label!r}")
+def edge_text(label: Edge) -> str:
+    if label.arg is None:
+        return label.kind
+    return f"{label.kind} {print_action(label.arg) if label.kind == 'dia' else label.arg}"
 
 
 # ---------------------------------------------------------------------------
@@ -123,26 +118,6 @@ class TreeReport:
         return "ok" if self.ok else "; ".join(self.problems)
 
 
-def _ctors_of(a: Action) -> set[str]:
-    if isinstance(a, Rel):
-        return set()
-    if isinstance(a, Union):
-        return {"union"} | _ctors_of(a.left) | _ctors_of(a.right)
-    if isinstance(a, Comp):
-        return {"comp"} | _ctors_of(a.left) | _ctors_of(a.right)
-    if isinstance(a, Star):
-        return {"star"} | _ctors_of(a.body)
-    raise TypeError(f"not an action: {a!r}")
-
-
-def _rels_of(a: Action) -> set[str]:
-    if isinstance(a, Rel):
-        return {a.name}
-    if isinstance(a, (Union, Comp)):
-        return _rels_of(a.left) | _rels_of(a.right)
-    return _rels_of(a.body)
-
-
 def validate_tree(tr: GameboardTree, frag: FragmentConfig) -> TreeReport:
     """Check signature consistency along edges, sibling-label uniqueness, and
     fragment gating at every node.
@@ -151,8 +126,13 @@ def validate_tree(tr: GameboardTree, frag: FragmentConfig) -> TreeReport:
     idle siblings may repeat the label but not the whole (label, subtree)
     edge, since distinct idle branches are what conjunction-shaped trees are
     made of.
+
+    A subtree's problems depend on the subtree alone, so a shared subtree
+    found problem-free is walked once; one with problems is walked, and
+    reported, at every path it occurs on.
     """
     problems: list[str] = []
+    clean: set[int] = set()
 
     def spell(path) -> str:
         steps = []
@@ -164,11 +144,13 @@ def validate_tree(tr: GameboardTree, frag: FragmentConfig) -> TreeReport:
     def walk(node: GameboardTree, path):
         """`path` is None at the root, else (parent path, edge index, label);
         it is spelled out only when a problem is reported."""
+        before = len(problems)
         seen_labels = set()
         seen_idle = set()
         for i, (label, child) in enumerate(node.children):
             here = (path, i, label)
-            if isinstance(label, IdleEdge):
+            op, binds = KINDS[label.kind]
+            if label.kind == "idle":
                 if (label, child) in seen_idle:
                     problems.append(f"duplicate idle edge (same subtree) at {spell(here)}")
                 seen_idle.add((label, child))
@@ -176,34 +158,35 @@ def validate_tree(tr: GameboardTree, frag: FragmentConfig) -> TreeReport:
                 if label in seen_labels:
                     problems.append(f"duplicate sibling label at {spell(here)}")
                 seen_labels.add(label)
-            if isinstance(label, (StoreEdge, ExistsEdge)):
-                expected, _ = extend_signature(node.sig)
-                if child.sig != expected:
+            if child.sig != child_signature(node.sig, label.kind):
+                if binds:
                     problems.append(
                         f"child signature under {edge_text(label)} at {spell(here)} is not the"
                         f" parent extended by the next fresh variable"
                     )
-                kind = "store" if isinstance(label, StoreEdge) else "exists"
-                if kind not in frag.ops:
-                    problems.append(f"edge kind '{kind}' not enabled at {spell(here)}")
-            else:
-                if child.sig != node.sig:
+                else:
                     problems.append(f"child signature changes across {edge_text(label)} at {spell(here)}")
-                if isinstance(label, DiaEdge):
-                    if "diamond" not in frag.ops:
-                        problems.append(f"edge kind 'diamond' not enabled at {spell(here)}")
-                    bad_ctors = _ctors_of(label.action) - frag.action_ctors
-                    if bad_ctors:
-                        problems.append(f"action constructors {sorted(bad_ctors)} not enabled at {spell(here)}")
-                    undeclared = _rels_of(label.action) - set(node.sig.relations)
-                    if undeclared:
-                        problems.append(f"undeclared relations {sorted(undeclared)} at {spell(here)}")
-                elif isinstance(label, AtEdge):
-                    if "at" not in frag.ops:
-                        problems.append(f"edge kind 'at' not enabled at {spell(here)}")
-                    if label.name not in node.sig.point_names():
-                        problems.append(f"undeclared name '{label.name}' at {spell(here)}")
-            walk(child, here)
+            if op is not None and op not in frag.ops:
+                problems.append(f"edge kind '{op}' not enabled at {spell(here)}")
+            if label.kind == "dia":
+                ctors, rels = set(), set()
+                for _, a in walk_action(label.arg):
+                    if isinstance(a, Rel):
+                        rels.add(a.name)
+                    else:
+                        ctors.add(ACTION_CTOR[type(a)])
+                bad_ctors = ctors - frag.action_ctors
+                if bad_ctors:
+                    problems.append(f"action constructors {sorted(bad_ctors)} not enabled at {spell(here)}")
+                undeclared = rels - set(node.sig.relations)
+                if undeclared:
+                    problems.append(f"undeclared relations {sorted(undeclared)} at {spell(here)}")
+            elif label.kind == "at" and label.arg not in node.sig.point_names():
+                problems.append(f"undeclared name '{label.arg}' at {spell(here)}")
+            if id(child) not in clean:
+                walk(child, here)
+        if len(problems) == before:
+            clean.add(id(node))
 
     walk(tr, None)
     return TreeReport(not problems, tuple(problems))
@@ -235,16 +218,12 @@ def complete_tree(
     def build(sig: Signature, height: int) -> GameboardTree:
         if height == 0:
             return leaf(sig)
-        same = build(sig, height - 1)
-        children: list[tuple[EdgeLabel, GameboardTree]] = [(IdleEdge(), same)]
-        if "store" in frag.ops:
-            children.append((StoreEdge(), build(extend_signature(sig)[0], height - 1)))
-        if "exists" in frag.ops:
-            children.append((ExistsEdge(), build(extend_signature(sig)[0], height - 1)))
-        if "at" in frag.ops:
-            children.extend((AtEdge(name), same) for name in sig.point_names())
-        if "diamond" in frag.ops:
-            children.extend((DiaEdge(a), same) for a in actions)
+        children: list[tuple[Edge, GameboardTree]] = []
+        for kind, (op, _) in KINDS.items():
+            if op is None or op in frag.ops:
+                child = build(child_signature(sig, kind), height - 1)
+                args = sig.point_names() if kind == "at" else actions if kind == "dia" else (None,)
+                children.extend((Edge(kind, arg), child) for arg in args)
         return GameboardTree(sig, tuple(children))
 
     return build(sig, height)
@@ -320,19 +299,14 @@ def _parse_tree(ts: _TokenStream, sig: Signature, built: dict) -> GameboardTree:
     return built.setdefault(node, node)
 
 
-def _parse_edge(ts: _TokenStream, sig: Signature, built: dict) -> tuple[EdgeLabel, GameboardTree]:
+def _parse_edge(ts: _TokenStream, sig: Signature, built: dict) -> tuple[Edge, GameboardTree]:
     pos = ts.pos()
     kind = ts.ident("edge kind")
-    if kind == "idle":
-        return IdleEdge(), _parse_tree(ts, sig, built)
-    if kind == "down":
-        return StoreEdge(), _parse_tree(ts, extend_signature(sig)[0], built)
-    if kind == "exists":
-        return ExistsEdge(), _parse_tree(ts, extend_signature(sig)[0], built)
+    if kind not in KINDS:
+        raise ParseError(f"unknown edge kind {kind!r}", pos)
+    arg = None
     if kind == "at":
-        name = ts.ident("nominal or variable")
-        return AtEdge(name), _parse_tree(ts, sig, built)
-    if kind == "dia":
-        action = _parse_act_union(ts, sig, _ALL_ACTIONS)
-        return DiaEdge(action), _parse_tree(ts, sig, built)
-    raise ParseError(f"unknown edge kind {kind!r}", pos)
+        arg = ts.ident("nominal or variable")
+    elif kind == "dia":
+        arg = _parse_act_union(ts, sig, _ALL_ACTIONS)
+    return Edge(kind, arg), _parse_tree(ts, child_signature(sig, kind), built)

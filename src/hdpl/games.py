@@ -10,17 +10,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .checker import SignatureMismatchError, basic_agreement, game_property
-from .gameboard import (
-    AtEdge,
-    DiaEdge,
-    EdgeLabel,
-    ExistsEdge,
-    GameboardTree,
-    IdleEdge,
-    StoreEdge,
-    edge_text,
-    leaf,
-)
+from .gameboard import KINDS, Edge, GameboardTree, edge_text, leaf
 from .kripke import KripkeModel, PointedModel, Successors, expand, interpret_action
 from .syntax import (
     And,
@@ -75,7 +65,7 @@ class GSPart:
     exists edge binds (else None), and a canonical member set, which holds
     exactly one member on at, store and idle edges."""
 
-    edge: EdgeLabel
+    edge: Edge
     var: str | None
     members: tuple["GameSentence", ...]
 
@@ -100,10 +90,10 @@ def gs_text(g) -> str:
         text = "(" + " & ".join(gs_text(p) for p in g.parts) + ")"
     elif isinstance(g, GSPart):
         e = g.edge
-        if isinstance(e, DiaEdge):
-            head = f"<{print_action(e.action)}>"
-        elif isinstance(e, AtEdge):
-            head = f"@{e.name} "
+        if e.kind == "dia":
+            head = f"<{print_action(e.arg)}>"
+        elif e.kind == "at":
+            head = f"@{e.arg} "
         else:  # down x, exists x, idle
             head = edge_text(e) + (f" {g.var} " if g.var else " ")
         if _holds_a_set(e):
@@ -116,15 +106,15 @@ def gs_text(g) -> str:
     return text
 
 
-def _holds_a_set(label: EdgeLabel) -> bool:
+def _holds_a_set(label: Edge) -> bool:
     """Whether parts of this edge hold a member set: the survivor answers a
     dia or exists round by choosing a state."""
-    return isinstance(label, (DiaEdge, ExistsEdge))
+    return label.kind in ("dia", "exists")
 
 
-def _bound_var(label: EdgeLabel, child: GameboardTree) -> str | None:
+def _bound_var(label: Edge, child: GameboardTree) -> str | None:
     """The variable a store or exists edge binds; None on the other edges."""
-    return child.sig.bound_vars[-1] if isinstance(label, (StoreEdge, ExistsEdge)) else None
+    return child.sig.bound_vars[-1] if KINDS[label.kind][1] else None
 
 
 def gs_set(members) -> tuple["GameSentence", ...]:
@@ -147,13 +137,13 @@ def lower_game_sentence(g: GameSentence) -> Sentence:
 
 def _lower_part(p: GSPart) -> Sentence:
     e, lowered = p.edge, [lower_game_sentence(m) for m in p.members]
-    if isinstance(e, DiaEdge):
-        return conj([Dia(e.action, s) for s in lowered] + [box(e.action, disj(lowered))])
-    if isinstance(e, ExistsEdge):
+    if e.kind == "dia":
+        return conj([Dia(e.arg, s) for s in lowered] + [box(e.arg, disj(lowered))])
+    if e.kind == "exists":
         return conj([Exists(p.var, s) for s in lowered] + [forall(p.var, disj(lowered))])
-    if isinstance(e, AtEdge):
-        return At(e.name, lowered[0])
-    if isinstance(e, StoreEdge):
+    if e.kind == "at":
+        return At(e.arg, lowered[0])
+    if e.kind == "down":
         return Store(p.var, lowered[0])
     return lowered[0]  # idle
 
@@ -171,6 +161,23 @@ def _point(m: KripkeModel, node: GameboardTree, env: tuple[str, ...], name: str)
         bound = node.sig.bound_vars
         got = env[len(env) - len(bound) + bound.index(name)]
     return got
+
+
+def _moves(m: KripkeModel, succ: Successors, node: GameboardTree, label: Edge, w: str, env: tuple[str, ...]):
+    """The configurations (picked state, state, environment) that one side,
+    at state `w` of `m` under `env` at `node`, reaches in a round on `label`.
+    The picked state is the one a dia or exists half-move names, else None;
+    the other kinds reach exactly one configuration."""
+    kind, arg = label
+    if kind == "dia":
+        return [(v, v, env) for v in succ[arg][w]]
+    if kind == "exists":
+        return [(v, w, env + (v,)) for v in m.states]
+    if kind == "at":
+        return [(None, _point(m, node, env, arg), env)]
+    if kind == "down":
+        return [(None, w, env + (w,))]
+    return [(None, w, env)]  # idle
 
 
 def char_formula(tr: GameboardTree, pm: PointedModel) -> GameSentence:
@@ -199,20 +206,9 @@ def char_formula(tr: GameboardTree, pm: PointedModel) -> GameSentence:
                 )
             )
         else:
-            parts: list[GSPart] = []
+            parts = []
             for label, child in node.children:
-                if isinstance(label, DiaEdge):
-                    members = [char(child, v, env) for v in succ[label.action][w]]
-                elif isinstance(label, AtEdge):
-                    members = [char(child, _point(m, node, env, label.name), env)]
-                elif isinstance(label, StoreEdge):
-                    members = [char(child, w, env + (w,))]
-                elif isinstance(label, ExistsEdge):
-                    members = [char(child, w, env + (v,)) for v in m.states]
-                elif isinstance(label, IdleEdge):
-                    members = [char(child, w, env)]
-                else:
-                    raise TypeError(f"not an edge label: {label!r}")
+                members = [char(child, v, e) for _, v, e in _moves(m, succ, node, label, w, env)]
                 parts.append(GSPart(label, _bound_var(label, child), gs_set(members)))
             res = GSNode(tuple(parts))
         memo[key] = res
@@ -327,30 +323,16 @@ def ef_solve(tr: GameboardTree, left: PointedModel, right: PointedModel) -> EfRe
         option; answers are (answering state, position) pairs, the state
         None on the deterministic at, store and idle edges."""
         for i, (label, child) in enumerate(node.children):
-            if isinstance(label, DiaEdge):
-                ls, rs = sl[label.action][Lw], sr[label.action][Rv]
-                for w2 in ls:
-                    yield i, label, "left", w2, [(v2, (child, w2, Lenv, v2, Renv)) for v2 in rs]
-                for v2 in rs:
-                    yield i, label, "right", v2, [(w2, (child, w2, Lenv, v2, Renv)) for w2 in ls]
-            elif isinstance(label, AtEdge):
-                Lt, Rt = _point(Lm, node, Lenv, label.name), _point(Rm, node, Renv, label.name)
-                yield i, label, None, None, [(None, (child, Lt, Lenv, Rt, Renv))]
-            elif isinstance(label, StoreEdge):
-                yield i, label, None, None, [(None, (child, Lw, Lenv + (Lw,), Rv, Renv + (Rv,)))]
-            elif isinstance(label, ExistsEdge):
-                for w1 in Lm.states:
-                    yield i, label, "left", w1, [
-                        (v1, (child, Lw, Lenv + (w1,), Rv, Renv + (v1,))) for v1 in Rm.states
-                    ]
-                for v1 in Rm.states:
-                    yield i, label, "right", v1, [
-                        (w1, (child, Lw, Lenv + (w1,), Rv, Renv + (v1,))) for w1 in Lm.states
-                    ]
-            elif isinstance(label, IdleEdge):
-                yield i, label, None, None, [(None, (child, Lw, Lenv, Rv, Renv))]
-            else:
-                raise TypeError(f"not an edge label: {label!r}")
+            ls = _moves(Lm, sl, node, label, Lw, Lenv)
+            rs = _moves(Rm, sr, node, label, Rv, Renv)
+            if not _holds_a_set(label):
+                (_, w2, e2), (_, v2, f2) = ls[0], rs[0]
+                yield i, label, None, None, [(None, (child, w2, e2, v2, f2))]
+                continue
+            for p, w2, e2 in ls:
+                yield i, label, "left", p, [(q, (child, w2, e2, v2, f2)) for q, v2, f2 in rs]
+            for q, v2, f2 in rs:
+                yield i, label, "right", q, [(p, (child, w2, e2, v2, f2)) for p, w2, e2 in ls]
 
     memo: dict[tuple, tuple[int, tuple[TraceStep, ...]] | None] = {}
 
@@ -423,8 +405,8 @@ def start_game(tr: GameboardTree, left: PointedModel, right: PointedModel) -> Ga
 
 def _choices(label, pm: PointedModel) -> list[str]:
     """The states a dia or exists half-move may pick on `pm`'s side."""
-    if isinstance(label, DiaEdge):
-        return [v for w, v in sorted(interpret_action(pm.model, label.action)) if w == pm.current]
+    if label.kind == "dia":
+        return [v for w, v in sorted(interpret_action(pm.model, label.arg)) if w == pm.current]
     return list(pm.model.states)
 
 
@@ -470,13 +452,13 @@ def _complete_round(gs: GameState, move: AbelardMove, answer: str | None) -> Gam
     picked = {move.side: move.target, "right" if move.side == "left" else "left": answer}
 
     def advance(pm: PointedModel, side: str) -> PointedModel:
-        if isinstance(label, AtEdge):
-            return PointedModel(pm.model, pm.model.nominal_interp[label.name])
-        if isinstance(label, DiaEdge):
+        if label.kind == "at":
+            return PointedModel(pm.model, pm.model.nominal_interp[label.arg])
+        if label.kind == "dia":
             return PointedModel(pm.model, picked[side])
-        if isinstance(label, StoreEdge):
+        if label.kind == "down":
             return PointedModel(expand(pm.model, _bound_var(label, child), pm.current), pm.current)
-        if isinstance(label, ExistsEdge):
+        if label.kind == "exists":
             return PointedModel(expand(pm.model, _bound_var(label, child), picked[side]), pm.current)
         return pm  # idle
 
@@ -548,7 +530,7 @@ def normal_form(s: Sentence, sig: Signature, frag: FragmentConfig) -> NormalForm
                         break
                 else:
                     groups.append((tr, [p]))
-            tree = GameboardTree(scope, tuple((IdleEdge(), gtr) for gtr, _ in groups))
+            tree = GameboardTree(scope, tuple((Edge("idle"), gtr) for gtr, _ in groups))
             all_preds = [preds for _, preds in groups]
 
             def pred(g, all_preds=all_preds):
@@ -560,13 +542,13 @@ def normal_form(s: Sentence, sig: Signature, frag: FragmentConfig) -> NormalForm
 
             return tree, pred
         if isinstance(t, Dia):
-            label, inner = DiaEdge(t.action), scope
+            label, inner = Edge("dia", t.action), scope
         elif isinstance(t, At):
-            label, inner = AtEdge(t.name), scope
+            label, inner = Edge("at", t.name), scope
         elif isinstance(t, Store):
-            label, inner = StoreEdge(), _extend_matching(scope, t.var)
+            label, inner = Edge("down"), _extend_matching(scope, t.var)
         elif isinstance(t, Exists):
-            label, inner = ExistsEdge(), _extend_matching(scope, t.var)
+            label, inner = Edge("exists"), _extend_matching(scope, t.var)
         else:
             raise TypeError(f"not a sentence: {t!r}")
         # some member of the only part satisfies the body: exact on at and

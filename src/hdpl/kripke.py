@@ -365,21 +365,39 @@ def generate_random_rooted_model(seed, n_states: int, edge_density: float, sig: 
 # JSON I/O
 
 
+def _array(x, what: str, name: str | None = None) -> list:
+    """`x`, which must be a JSON array; `what` and `name` say where it sits."""
+    if not isinstance(x, list):
+        where = what if name is None else f"{what} '{name}'"
+        raise ModelError(f"{where} must be an array, not {x!r}")
+    return x
+
+
 def model_from_dict(d: dict) -> KripkeModel:
-    """Build a model from its JSON form; ModelError if the input lacks that form."""
+    """Build a model from its JSON form; ModelError if the input lacks that
+    form. The states, each relation's pair list, each pair and each prop's
+    holders must be arrays, every state name a string and every holder a
+    state of the model."""
     try:
         sig = Signature(
             nominals=tuple(d.get("nominals", {})),
             relations=tuple(d.get("relations", {})),
             props=tuple(d.get("props", {})),
         )
-        states = tuple(d["states"])
-        rels = {r: frozenset(tuple(p) for p in pairs) for r, pairs in d.get("relations", {}).items()}
-        prop_map = d.get("props", {})
-        val = {
-            w: frozenset(p for p, holders in prop_map.items() if w in holders)
-            for w in states
-        }
+        states = tuple(_array(d["states"], "states"))
+        if not set(map(type, states)) <= {str}:
+            raise ModelError(f"state names must be strings: {list(states)!r}")
+        rels = {}
+        for r, pairs in d.get("relations", {}).items():
+            if not set(map(type, _array(pairs, "relation", r))) <= {list}:
+                raise ModelError(f"each pair of relation '{r}' must be an array of two states")
+            rels[r] = frozenset(map(tuple, pairs))  # KripkeModel rejects a pair of another length
+        val: dict[str, list[str]] = {w: [] for w in states}
+        for p, holders in d.get("props", {}).items():
+            for w in _array(holders, "prop", p):
+                if w not in val:
+                    raise ModelError(f"prop '{p}' holds at a state that is not in the model")
+                val[w].append(p)
         return KripkeModel(sig, states, dict(d.get("nominals", {})), rels, val)
     except KeyError as exc:
         raise ModelError(f"model has no {exc} entry") from None

@@ -203,6 +203,28 @@ class Star:
 
 Action = Rel | Union | Comp | Star
 
+# the fragment flag of each compound action constructor
+ACTION_CTOR = {Union: "union", Comp: "comp", Star: "star"}
+
+
+def walk_action(a: Action, path: str = ""):
+    """Yield (path, node) for every node of `a` in pre-order, left before
+    right, without recursion; a child's path is its parent's plus /l, /r or
+    /b."""
+    stack = []
+    while True:
+        yield path, a
+        if not isinstance(a, Rel):
+            if isinstance(a, Star):
+                stack.append((path + "/b", a.body))
+            elif isinstance(a, (Union, Comp)):
+                stack += ((path + "/r", a.right), (path + "/l", a.left))
+            else:
+                raise TypeError(f"not an action: {a!r}")
+        if not stack:
+            return
+        path, a = stack.pop()
+
 
 # ---------------------------------------------------------------------------
 # Sentence terms
@@ -588,16 +610,9 @@ def _parse_prefix(ts, sig, frag) -> Sentence:
 
 
 def check_action(a: Action, sig: Signature):
-    if isinstance(a, Rel):
-        if a.name not in sig.relations:
-            raise UndeclaredSymbolError(a.name)
-    elif isinstance(a, (Union, Comp)):
-        check_action(a.left, sig)
-        check_action(a.right, sig)
-    elif isinstance(a, Star):
-        check_action(a.body, sig)
-    else:
-        raise TypeError(f"not an action: {a!r}")
+    for _, node in walk_action(a):
+        if isinstance(node, Rel) and node.name not in sig.relations:
+            raise UndeclaredSymbolError(node.name)
 
 
 def check_sentence(s: Sentence, sig: Signature):
@@ -642,22 +657,6 @@ def validate_in_fragment(s: Sentence, frag: FragmentConfig) -> FragmentReport:
     """Report every constructor of `s` that the fragment does not enable."""
     out: list[tuple[str, str]] = []
 
-    def walk_act(a: Action, path: str):
-        if isinstance(a, Union):
-            if "union" not in frag.action_ctors:
-                out.append((path, "union"))
-            walk_act(a.left, path + "/l")
-            walk_act(a.right, path + "/r")
-        elif isinstance(a, Comp):
-            if "comp" not in frag.action_ctors:
-                out.append((path, "comp"))
-            walk_act(a.left, path + "/l")
-            walk_act(a.right, path + "/r")
-        elif isinstance(a, Star):
-            if "star" not in frag.action_ctors:
-                out.append((path, "star"))
-            walk_act(a.body, path + "/b")
-
     def walk(t: Sentence, path: str):
         if isinstance(t, (Prop, Nom)):
             return
@@ -669,7 +668,10 @@ def validate_in_fragment(s: Sentence, frag: FragmentConfig) -> FragmentReport:
         elif isinstance(t, Dia):
             if "diamond" not in frag.ops:
                 out.append((path, "diamond"))
-            walk_act(t.action, path + "/act")
+            for apath, a in walk_action(t.action, path + "/act"):
+                ctor = ACTION_CTOR.get(type(a))
+                if ctor is not None and ctor not in frag.action_ctors:
+                    out.append((apath, ctor))
             walk(t.body, path + "/<>")
         elif isinstance(t, At):
             if "at" not in frag.ops:

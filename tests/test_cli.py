@@ -332,8 +332,14 @@ class TestErrors:
         [
             ('{"states": ["0"], "relations": {"l": [["0", "0"]]', "is not valid JSON"),
             ('{"relations": {"l": []}, "props": {"p": []}}', "model has no 'states' entry"),
+            ('{"states": ["0", "00"], "props": {"p": "00"}}', "prop 'p' must be an array"),
+            ('{"states": ["0", "1"], "relations": {"l": ["01"]}}', "each pair of relation 'l' must be an array"),
+            ('{"states": "01"}', "states must be an array"),
+            ('{"states": ["0", 1]}', "state names must be strings"),
+            ('{"states": ["0"], "props": {"p": ["1"]}}', "prop 'p' holds at a state that is not in the model"),
         ],
-        ids=["malformed-json", "no-states"],
+        ids=["malformed-json", "no-states", "holders-string", "pair-string", "states-string", "state-number",
+             "unknown-holder"],
     )
     def test_bad_model_file_exit_two(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.json"

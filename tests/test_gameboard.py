@@ -5,12 +5,8 @@ import pytest
 from hdpl import fixtures as fx
 from hdpl.corpus import FRAGMENTS, default_actions, random_tree, small_signature
 from hdpl.gameboard import (
-    AtEdge,
-    DiaEdge,
-    ExistsEdge,
+    Edge,
     GameboardTree,
-    IdleEdge,
-    StoreEdge,
     TreeError,
     complete_tree,
     count_nodes,
@@ -22,7 +18,7 @@ from hdpl.gameboard import (
     validate_tree,
 )
 from hdpl.kripke import generate_random_model
-from hdpl.syntax import FragmentConfig, ParseError, Rel, Signature, Star, extend_signature
+from hdpl.syntax import Comp, FragmentConfig, ParseError, Rel, Signature, Star, Union, extend_signature
 
 SIG = fx.SIG_P
 FULL = FragmentConfig.full()
@@ -37,51 +33,51 @@ class TestValidate:
         assert validate_tree(leaf(SIG), FULL).ok
 
     def test_duplicate_idle_children_invalid(self):
-        tr = GameboardTree(SIG, ((IdleEdge(), leaf(SIG)), (IdleEdge(), leaf(SIG))))
+        tr = GameboardTree(SIG, ((Edge("idle"), leaf(SIG)), (Edge("idle"), leaf(SIG))))
         report = validate_tree(tr, FULL)
         assert not report.ok
         assert "duplicate idle" in report.problems[0]
 
     def test_distinct_idle_branches_valid(self):
-        other = GameboardTree(SIG, ((DiaEdge(Rel("l")), leaf(SIG)),))
-        tr = GameboardTree(SIG, ((IdleEdge(), leaf(SIG)), (IdleEdge(), other)))
+        other = GameboardTree(SIG, ((Edge("dia", Rel("l")), leaf(SIG)),))
+        tr = GameboardTree(SIG, ((Edge("idle"), leaf(SIG)), (Edge("idle"), other)))
         assert validate_tree(tr, FULL).ok
 
     def test_duplicate_nonidle_labels_invalid(self):
-        other = GameboardTree(SIG, ((DiaEdge(Rel("l")), leaf(SIG)),))
-        tr = GameboardTree(SIG, ((DiaEdge(Rel("l")), leaf(SIG)), (DiaEdge(Rel("l")), other)))
+        other = GameboardTree(SIG, ((Edge("dia", Rel("l")), leaf(SIG)),))
+        tr = GameboardTree(SIG, ((Edge("dia", Rel("l")), leaf(SIG)), (Edge("dia", Rel("l")), other)))
         assert not validate_tree(tr, FULL).ok
 
     def test_store_child_must_extend_signature(self):
-        tr = GameboardTree(SIG, ((StoreEdge(), leaf(SIG)),))
+        tr = GameboardTree(SIG, ((Edge("down"), leaf(SIG)),))
         report = validate_tree(tr, FULL)
         assert not report.ok
         assert "next fresh variable" in report.problems[0]
 
     def test_fragment_gating(self):
         ext, _ = extend_signature(SIG)
-        tr = GameboardTree(SIG, ((StoreEdge(), leaf(ext)),))
+        tr = GameboardTree(SIG, ((Edge("down"), leaf(ext)),))
         assert validate_tree(tr, frag({"store"})).ok
         assert not validate_tree(tr, frag({"diamond"})).ok
 
     def test_action_ctor_gating(self):
-        tr = GameboardTree(SIG, ((DiaEdge(Star(Rel("l"))), leaf(SIG)),))
+        tr = GameboardTree(SIG, ((Edge("dia", Star(Rel("l"))), leaf(SIG)),))
         assert validate_tree(tr, frag({"diamond"}, {"star"})).ok
         assert not validate_tree(tr, frag({"diamond"})).ok
 
     def test_undeclared_at_name(self):
-        tr = GameboardTree(SIG, ((AtEdge("nope"), leaf(SIG)),))
+        tr = GameboardTree(SIG, ((Edge("at", "nope"), leaf(SIG)),))
         assert not validate_tree(tr, FULL).ok
 
     def test_invalid_subtree_reported_at_every_occurrence(self):
-        bad = GameboardTree(SIG, ((IdleEdge(), leaf(SIG)), (AtEdge("nope"), leaf(SIG))))
+        bad = GameboardTree(SIG, ((Edge("idle"), leaf(SIG)), (Edge("at", "nope"), leaf(SIG))))
         ext, _ = extend_signature(SIG)
         tr = GameboardTree(
             SIG,
             (
-                (IdleEdge(), bad),
-                (DiaEdge(Rel("l")), bad),
-                (StoreEdge(), GameboardTree(ext, ((IdleEdge(), leaf(ext)),))),
+                (Edge("idle"), bad),
+                (Edge("dia", Rel("l")), bad),
+                (Edge("down"), GameboardTree(ext, ((Edge("idle"), leaf(ext)),))),
             ),
         )
         assert validate_tree(tr, frag({"diamond", "at"})).problems == (
@@ -97,6 +93,61 @@ class TestValidate:
             " edge kind 'store' not enabled at root/2:down"
         )
 
+    def test_every_problem_message(self):
+        ext, _ = extend_signature(SIG)
+        act = Union(Rel("l"), Star(Comp(Rel("l"), Rel("m"))))
+        tr = GameboardTree(
+            SIG,
+            (
+                (Edge("idle"), leaf(SIG)),
+                (Edge("idle"), leaf(SIG)),
+                (Edge("dia", act), leaf(SIG)),
+                (Edge("dia", act), leaf(ext)),
+                (Edge("at", "k"), leaf(SIG)),
+                (Edge("down"), leaf(SIG)),
+                (Edge("exists"), GameboardTree(ext, ((Edge("at", "x1"), leaf(ext)),))),
+            ),
+        )
+        dia2, dia3 = "root/2:dia l+(l;m)*", "root/3:dia l+(l;m)*"
+        assert validate_tree(tr, frag(())).problems == (
+            "duplicate idle edge (same subtree) at root/1:idle",
+            f"edge kind 'diamond' not enabled at {dia2}",
+            f"action constructors ['comp', 'star', 'union'] not enabled at {dia2}",
+            f"undeclared relations ['m'] at {dia2}",
+            f"duplicate sibling label at {dia3}",
+            f"child signature changes across dia l+(l;m)* at {dia3}",
+            f"edge kind 'diamond' not enabled at {dia3}",
+            f"action constructors ['comp', 'star', 'union'] not enabled at {dia3}",
+            f"undeclared relations ['m'] at {dia3}",
+            "edge kind 'at' not enabled at root/4:at k",
+            "undeclared name 'k' at root/4:at k",
+            "child signature under down at root/5:down is not the parent extended by the next fresh variable",
+            "edge kind 'store' not enabled at root/5:down",
+            "edge kind 'exists' not enabled at root/6:exists",
+            "edge kind 'at' not enabled at root/6:exists/0:at x1",
+            "undeclared name 'x1' at root/6:exists/0:at x1",
+        )
+        assert validate_tree(tr, FULL).problems == (
+            "duplicate idle edge (same subtree) at root/1:idle",
+            f"undeclared relations ['m'] at {dia2}",
+            f"duplicate sibling label at {dia3}",
+            f"child signature changes across dia l+(l;m)* at {dia3}",
+            f"undeclared relations ['m'] at {dia3}",
+            "undeclared name 'k' at root/4:at k",
+            "child signature under down at root/5:down is not the parent extended by the next fresh variable",
+            "undeclared name 'x1' at root/6:exists/0:at x1",
+        )
+
+
+class TestEdge:
+    @pytest.mark.parametrize(
+        "kind, arg",
+        [("store", None), ("walk", None), ("dia", None), ("at", None), ("idle", "k"), ("down", Rel("l"))],
+    )
+    def test_rejects_a_bad_kind_or_argument(self, kind, arg):
+        with pytest.raises(TreeError):
+            Edge(kind, arg)
+
 
 class TestCompleteTree:
     def test_height_zero_is_leaf(self):
@@ -108,17 +159,17 @@ class TestCompleteTree:
 
     def test_at_option_stays_gated_after_store(self):
         tr = complete_tree(SIG, frag({"diamond", "store"}), 2, (Rel("l"),))
-        labels = {type(lab) for lab, _ in tr.children}
-        assert AtEdge not in labels
-        store_child = next(ch for lab, ch in tr.children if isinstance(lab, StoreEdge))
-        assert {type(lab) for lab, _ in store_child.children} == {IdleEdge, StoreEdge, DiaEdge}
+        labels = {lab.kind for lab, _ in tr.children}
+        assert "at" not in labels
+        store_child = next(ch for lab, ch in tr.children if lab.kind == "down")
+        assert {lab.kind for lab, _ in store_child.children} == {"idle", "down", "dia"}
 
     def test_at_edges_cover_bound_variables(self):
         sig = fx.SIG_NOM
         tr = complete_tree(sig, frag({"at", "store"}), 2, ())
-        assert [lab.name for lab, _ in tr.children if isinstance(lab, AtEdge)] == ["k1", "k2"]
-        store_child = next(ch for lab, ch in tr.children if isinstance(lab, StoreEdge))
-        at_names = [lab.name for lab, _ in store_child.children if isinstance(lab, AtEdge)]
+        assert [lab.arg for lab, _ in tr.children if lab.kind == "at"] == ["k1", "k2"]
+        store_child = next(ch for lab, ch in tr.children if lab.kind == "down")
+        at_names = [lab.arg for lab, _ in store_child.children if lab.kind == "at"]
         assert at_names == ["k1", "k2", "x0"]
 
     def test_equal_subtree_heights(self):
@@ -152,10 +203,10 @@ class TestTextFormat:
         tr = parse_tree("(down (dia l (dia l leaf)))", SIG)
         assert tree_height(tr) == 3
         label0, child0 = tr.children[0]
-        assert isinstance(label0, StoreEdge)
+        assert label0 == Edge("down")
         assert child0.sig.bound_vars == ("x0",)
         label1, _ = child0.children[0]
-        assert label1 == DiaEdge(Rel("l"))
+        assert label1 == Edge("dia", Rel("l"))
 
     def test_leaf(self):
         assert parse_tree("leaf", SIG) == leaf(SIG)
@@ -164,7 +215,7 @@ class TestTextFormat:
         sig = fx.SIG_NOM
         tr = parse_tree("(branch (idle leaf) (at k1 leaf))", sig)
         assert len(tr.children) == 2
-        assert tr.children[1][0] == AtEdge("k1")
+        assert tr.children[1][0] == Edge("at", "k1")
 
     def test_round_trip_random(self):
         rng = random.Random(12)
@@ -173,6 +224,22 @@ class TestTextFormat:
             f = rng.choice(FRAGMENTS)
             tr = random_tree(rng, sig, f, (Rel("l"),))
             assert parse_tree(print_tree(tr), sig) == tr
+
+    def test_round_trip_every_edge_kind(self):
+        text = (
+            "(branch (idle leaf) (down (branch (at x0 leaf) (exists (at x1 leaf))))"
+            " (exists leaf) (at k2 (dia l leaf)) (dia (l+l;l)* leaf))"
+        )
+        tr = parse_tree(text, fx.SIG_NOM)
+        assert print_tree(tr) == text
+        assert [label for label, _ in tr.children] == [
+            Edge("idle"),
+            Edge("down"),
+            Edge("exists"),
+            Edge("at", "k2"),
+            Edge("dia", Star(Union(Rel("l"), Comp(Rel("l"), Rel("l"))))),
+        ]
+        assert parse_tree(print_tree(tr), fx.SIG_NOM) == tr
 
     def test_parse_error_position(self):
         with pytest.raises(ParseError):
@@ -235,10 +302,10 @@ class TestSharing:
     def test_complete_tree_builds_each_distinct_subtree_once(self):
         f = frag({"diamond", "at", "store", "exists"}, {"star"})
         tr = complete_tree(fx.SIG_NOM, f, 3, (Rel("l"), Star(Rel("l"))))
-        labels = [type(label) for label, _ in tr.children]
-        assert labels == [IdleEdge, StoreEdge, ExistsEdge, AtEdge, AtEdge, DiaEdge, DiaEdge]
-        same = {id(child) for label, child in tr.children if not isinstance(label, (StoreEdge, ExistsEdge))}
-        ext = {id(child) for label, child in tr.children if isinstance(label, (StoreEdge, ExistsEdge))}
+        labels = [label.kind for label, _ in tr.children]
+        assert labels == ["idle", "down", "exists", "at", "at", "dia", "dia"]
+        same = {id(child) for label, child in tr.children if label.kind not in ("down", "exists")}
+        ext = {id(child) for label, child in tr.children if label.kind in ("down", "exists")}
         assert len(same) == len(ext) == 1 and same != ext
         assert_maximally_shared(tr)
         # one object per (signature, height): bound-variable counts 0..3-h at height h
@@ -267,7 +334,7 @@ class TestSignatureAnnotations:
             def walk(node, expected_sig):
                 assert node.sig == expected_sig
                 for label, child in node.children:
-                    if isinstance(label, (StoreEdge, ExistsEdge)):
+                    if label.kind in ("down", "exists"):
                         walk(child, extend_signature(expected_sig)[0])
                     else:
                         walk(child, expected_sig)

@@ -13,10 +13,8 @@ from hdpl.corpus import (
     small_signature,
 )
 from hdpl.gameboard import (
-    DiaEdge,
+    Edge,
     GameboardTree,
-    IdleEdge,
-    StoreEdge,
     complete_tree,
     leaf,
     parse_tree,
@@ -75,14 +73,14 @@ class TestLowering:
         assert print_sentence(lower_game_sentence(GSLeaf(((Prop("p"), True),)))) == "p"
 
     def test_empty_member_set_is_box_false(self):
-        lowered = lower_game_sentence(GSNode((GSPart(DiaEdge(Rel("l")), None, ()),)))
+        lowered = lower_game_sentence(GSNode((GSPart(Edge("dia", Rel("l")), None, ()),)))
         assert print_sentence(lowered) == "[l]false"
 
     def test_worked_two_member_component(self):
         sigx = Signature(relations=("l",), props=("p",), bound_vars=("x",))
         ga = GSLeaf(((Nom("x"), False), (Prop("p"), True)))
         gb = GSLeaf(((Nom("x"), False), (Prop("p"), False)))
-        lowered = lower_game_sentence(GSNode((GSPart(DiaEdge(Rel("l")), None, gs_set([ga, gb])),)))
+        lowered = lower_game_sentence(GSNode((GSPart(Edge("dia", Rel("l")), None, gs_set([ga, gb])),)))
         expected = parse_sentence(
             "<l>(~x & p) & <l>(~x & ~p) & [l]((~x & p) | (~x & ~p))", sigx
         )
@@ -97,7 +95,7 @@ class TestCharFormula:
 
     def test_fork_pair_agrees_on_one_step_tree(self):
         left, right = fx.fork_pair()
-        tr = GameboardTree(SIG, ((DiaEdge(Rel("l")), leaf(SIG)),))
+        tr = GameboardTree(SIG, ((Edge("dia", Rel("l")), leaf(SIG)),))
         gl = char_formula(tr, left)
         gr = char_formula(tr, right)
         assert gl == gr
@@ -131,11 +129,11 @@ class TestWorkedNamedLoopChain:
         tr = parse_tree("(down (dia l (dia l leaf)))", SIG)
         not_x_and_p = GSLeaf(((Nom("x0"), False), (Prop("p"), True)))
         not_x_not_p = GSLeaf(((Nom("x0"), False), (Prop("p"), False)))
-        phi_g3 = GSNode((GSPart(DiaEdge(Rel("l")), None, gs_set([not_x_and_p, not_x_not_p])),))
+        phi_g3 = GSNode((GSPart(Edge("dia", Rel("l")), None, gs_set([not_x_and_p, not_x_not_p])),))
         # the terminal p-successor of the start contributes the empty component
-        phi_end = GSNode((GSPart(DiaEdge(Rel("l")), None, ()),))
-        phi_g2 = GSNode((GSPart(DiaEdge(Rel("l")), None, gs_set([phi_g3, phi_end])),))
-        phi_g1 = GSNode((GSPart(StoreEdge(), "x0", (phi_g2,)),))
+        phi_end = GSNode((GSPart(Edge("dia", Rel("l")), None, ()),))
+        phi_g2 = GSNode((GSPart(Edge("dia", Rel("l")), None, gs_set([phi_g3, phi_end])),))
+        phi_g1 = GSNode((GSPart(Edge("down"), "x0", (phi_g2,)),))
         assert char_formula(tr, right) == phi_g1
         assert char_formula(tr, left) != phi_g1
         lowered = lower_game_sentence(phi_g1)
@@ -164,7 +162,7 @@ class TestEnumerate:
         assert len(enumerate_game_sentences(leaf(Signature(nominals=("k",), props=("p",))), 512)) == 4
 
     def test_one_step_tree_size(self):
-        tr = GameboardTree(SIG, ((DiaEdge(Rel("l")), leaf(SIG)),))
+        tr = GameboardTree(SIG, ((Edge("dia", Rel("l")), leaf(SIG)),))
         theta = enumerate_game_sentences(tr, 512)
         assert len(theta) == 4
         assert len({gs_text(g) for g in theta}) == 4
@@ -323,7 +321,7 @@ class TestSharedSubtrees:
 class TestRoundStepping:
     def test_idle_round_changes_nothing_but_the_tree(self):
         left, right = fx.fork_pair()
-        tr = GameboardTree(SIG, ((IdleEdge(), leaf(SIG)),))
+        tr = GameboardTree(SIG, ((Edge("idle"), leaf(SIG)),))
         gs = start_game(tr, left, right)
         nxt = game_step(gs, AbelardMove(0))
         assert (nxt.left, nxt.right) == (gs.left, gs.right)
@@ -341,7 +339,7 @@ class TestRoundStepping:
 
     def test_illegal_dia_target_rejected_with_alternatives(self):
         left, right = fx.fork_pair()
-        tr = GameboardTree(SIG, ((DiaEdge(Rel("l")), leaf(SIG)),))
+        tr = GameboardTree(SIG, ((Edge("dia", Rel("l")), leaf(SIG)),))
         gs = start_game(tr, left, right)
         with pytest.raises(IllegalMoveError) as err:
             game_step(gs, AbelardMove(0, "left", "0"))  # 0 is not an l-successor of 0
@@ -349,7 +347,7 @@ class TestRoundStepping:
 
     def _dia_game(self, left_state="0"):
         left, right = fx.fork_pair()
-        tr = GameboardTree(SIG, ((DiaEdge(Rel("l")), leaf(SIG)),))
+        tr = GameboardTree(SIG, ((Edge("dia", Rel("l")), leaf(SIG)),))
         return start_game(tr, PointedModel(left.model, left_state), right)
 
     def _rejected(self, gs, move):
@@ -390,7 +388,7 @@ class TestRoundStepping:
 
     def test_dia_round_two_half_moves(self):
         left, right = fx.fork_pair()
-        tr = GameboardTree(SIG, ((DiaEdge(Rel("l")), leaf(SIG)),))
+        tr = GameboardTree(SIG, ((Edge("dia", Rel("l")), leaf(SIG)),))
         gs = start_game(tr, left, right)
         gs = game_step(gs, AbelardMove(0, "left", "2"))
         assert gs.pending is not None
@@ -464,7 +462,7 @@ class TestTheoremProperties:
         # an edgeless model picks the all-empty-component game sentence
         m = generate_random_model(1, 3, 0.0, SIG)
         pm = PointedModel(m, "s0")
-        tr = GameboardTree(SIG, ((IdleEdge(), leaf(SIG)), (DiaEdge(Rel("l")), leaf(SIG))))
+        tr = GameboardTree(SIG, ((Edge("idle"), leaf(SIG)), (Edge("dia", Rel("l")), leaf(SIG))))
         theta = enumerate_game_sentences(tr, 64)
         satisfied = [g for g in theta if satisfies(pm, lower_game_sentence(g))]
         assert len(satisfied) == 1
@@ -490,7 +488,7 @@ class TestTheoremProperties:
         # signs in its game sentences, so equal characteristic formulas do not
         # imply a game win when the start position already disagrees
         sig = SIG
-        tr = GameboardTree(sig, ((DiaEdge(Rel("l")), leaf(sig)),))
+        tr = GameboardTree(sig, ((Edge("dia", Rel("l")), leaf(sig)),))
         rng = random.Random(1)
         m = generate_random_model(rng.randrange(2**30), 2, 0.0, sig)
         flipped = {w: (frozenset({"p"}) if not ps else frozenset()) for w, ps in m.valuation.items()}

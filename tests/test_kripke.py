@@ -182,6 +182,26 @@ class TestModelIO:
         with pytest.raises(ModelError):
             model_from_dict(d)
 
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            ({"states": ["s1", "s10"], "props": {"p": "s10"}}, "prop 'p' must be an array, not 's10'"),
+            (
+                {"states": ["a", "b"], "relations": {"l": ["ab"]}},
+                "each pair of relation 'l' must be an array of two states",
+            ),
+            ({"states": ["a", "b"], "relations": {"l": "ab"}}, "relation 'l' must be an array, not 'ab'"),
+            ({"states": "ab"}, "states must be an array, not 'ab'"),
+            ({"states": ["a", 1]}, "state names must be strings: ['a', 1]"),
+            ({"states": ["a"], "props": {"p": ["b"]}}, "prop 'p' holds at a state that is not in the model"),
+        ],
+        ids=["holders-string", "pair-string", "pairs-string", "states-string", "state-number", "unknown-holder"],
+    )
+    def test_json_arrays_and_string_states_required(self, d, message):
+        with pytest.raises(ModelError) as err:
+            model_from_dict(d)
+        assert str(err.value) == message
+
 
 def test_reduct_renaming_round_trip():
     mapping = {"k": "j", "l": "m", "p": "q"}

@@ -5,6 +5,7 @@ import pytest
 from hdpl.corpus import FRAGMENTS, random_sentence, small_signature
 from hdpl.syntax import (
     And,
+    Comp,
     Dia,
     FragmentConfig,
     FragmentViolationError,
@@ -16,9 +17,11 @@ from hdpl.syntax import (
     Signature,
     SignatureError,
     Star,
+    Union,
     Store,
     At,
     UndeclaredSymbolError,
+    check_sentence,
     conj,
     disj,
     extend_signature,
@@ -208,6 +211,18 @@ class TestValidateInFragment:
         report = validate_in_fragment(phi, narrowed)
         assert not report.ok
         assert {c for _, c in report.violations} == {"exists"}
+
+    def test_action_constructors_reported_in_pre_order(self):
+        sig = Signature(relations=("l", "m"), props=("p",))
+        s = parse_sentence("<(l;m)+l*>p", sig)
+        report = validate_in_fragment(s, FragmentConfig(frozenset({"diamond"}), frozenset()))
+        assert report.violations == (("root/act", "union"), ("root/act/l", "comp"), ("root/act/r", "star"))
+
+    def test_first_undeclared_relation_in_pre_order(self):
+        s = Dia(Union(Comp(Rel("a"), Rel("b")), Star(Rel("c"))), Prop("p"))
+        with pytest.raises(UndeclaredSymbolError) as err:
+            check_sentence(s, SIG)
+        assert err.value.symbol == "a"
 
 
 class TestRoundTrip:
