@@ -3,7 +3,7 @@ agreement between two pointed models or between all pairs of their states."""
 
 from __future__ import annotations
 
-from .kripke import KripkeModel, PointedModel, Successors
+from .kripke import KripkeModel, PointedModel
 from .syntax import (
     And,
     At,
@@ -28,13 +28,14 @@ def satisfies(pm: PointedModel, s: Sentence) -> bool:
 
     The binders of `s` extend an environment, the (variable, state) pairs
     bound on the way down, instead of expanding the model. Subterm results
-    are memoized per (subterm, state, environment), so shared subterms are
-    evaluated once; semantically this is the plain recursive satisfaction.
+    are memoized per (subterm, state, environment). Terms are hash-consed, so
+    equal subterms are one object and each is evaluated once per state and
+    environment; semantically this is the plain recursive satisfaction.
     """
     m = pm.model
     check_sentence(s, m.sig)
     base = m.nominal_interp  # covers the signature's own bound variables
-    succ = Successors(m)
+    succ = m.succ
     memo: dict[tuple, bool] = {}
 
     def point(name: str, env: tuple) -> str:
@@ -42,7 +43,7 @@ def satisfies(pm: PointedModel, s: Sentence) -> bool:
         return got if got is not None else dict(env)[name]
 
     def ev(w: str, env: tuple, t: Sentence) -> bool:
-        key = (id(t), w, env)
+        key = (t, w, env)
         got = memo.get(key)
         if got is not None:
             return got

@@ -1,7 +1,7 @@
 """Command-line front-end.
 
 Exit codes: 0 on positive verdicts, 1 on negative verdicts or counterexamples,
-2 on usage, parse, or input errors.
+2 on usage, parse, or input errors, and on any internal error.
 """
 
 from __future__ import annotations
@@ -567,6 +567,9 @@ def main(argv=None) -> int:
         return 2
     except RecursionError:
         print("error: input nests too deeply", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a fault of hdpl itself: still one line, never a traceback
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

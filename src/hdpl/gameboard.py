@@ -89,16 +89,6 @@ def child_signature(sig: Signature, kind: str) -> Signature:
     return extend_signature(sig)[0] if KINDS[kind][1] else sig
 
 
-def tree_height(tr: GameboardTree) -> int:
-    if not tr.children:
-        return 0
-    return 1 + max(tree_height(child) for _, child in tr.children)
-
-
-def count_nodes(tr: GameboardTree) -> int:
-    return 1 + sum(count_nodes(child) for _, child in tr.children)
-
-
 def edge_text(label: Edge) -> str:
     if label.arg is None:
         return label.kind

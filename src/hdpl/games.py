@@ -127,24 +127,32 @@ def gs_set(members) -> tuple["GameSentence", ...]:
 # Lowering a game sentence to an ordinary sentence
 
 
-def lower_game_sentence(g: GameSentence) -> Sentence:
-    if isinstance(g, GSLeaf):
-        return conj([b if pos else Neg(b) for b, pos in g.signs])
-    if isinstance(g, GSNode):
-        return conj([_lower_part(p) for p in g.parts])
-    raise TypeError(f"not a game sentence: {g!r}")
+def lower_game_sentence(g: GameSentence | GSPart) -> Sentence:
+    """The sentence a game sentence, or one of its parts, stands for; cached
+    in `_low` as `gs_text` caches `_txt`, so a shared part is lowered once."""
+    s = getattr(g, "_low", None)
+    if s is None:
+        if isinstance(g, GSLeaf):
+            s = conj([b if pos else Neg(b) for b, pos in g.signs])
+        elif isinstance(g, GSNode):
+            s = conj([lower_game_sentence(p) for p in g.parts])
+        elif isinstance(g, GSPart):
+            s = _lower_part(g.edge, g.var, [lower_game_sentence(m) for m in g.members])
+        else:
+            raise TypeError(f"not a game sentence: {g!r}")
+        object.__setattr__(g, "_low", s)
+    return s
 
 
-def _lower_part(p: GSPart) -> Sentence:
-    e, lowered = p.edge, [lower_game_sentence(m) for m in p.members]
+def _lower_part(e: Edge, var: str | None, lowered: list[Sentence]) -> Sentence:
     if e.kind == "dia":
         return conj([Dia(e.arg, s) for s in lowered] + [box(e.arg, disj(lowered))])
     if e.kind == "exists":
-        return conj([Exists(p.var, s) for s in lowered] + [forall(p.var, disj(lowered))])
+        return conj([Exists(var, s) for s in lowered] + [forall(var, disj(lowered))])
     if e.kind == "at":
         return At(e.arg, lowered[0])
     if e.kind == "down":
-        return Store(p.var, lowered[0])
+        return Store(var, lowered[0])
     return lowered[0]  # idle
 
 
@@ -188,7 +196,7 @@ def char_formula(tr: GameboardTree, pm: PointedModel) -> GameSentence:
     m = pm.model
     if m.sig != tr.sig:
         raise SignatureMismatchError("model signature differs from tree root signature")
-    succ = Successors(m)
+    succ = m.succ
     memo: dict[tuple, GameSentence] = {}
     basics: dict[int, tuple[Sentence, ...]] = {}
 
@@ -306,7 +314,7 @@ def ef_solve(tr: GameboardTree, left: PointedModel, right: PointedModel) -> EfRe
     Lm, Rm = left.model, right.model
     if Lm.sig != tr.sig or Rm.sig != tr.sig:
         raise SignatureMismatchError("both models must share the tree root signature")
-    sl, sr = Successors(Lm), Successors(Rm)
+    sl, sr = Lm.succ, Rm.succ
 
     basic = basic_agreement(Lm, Rm)  # the root names; the environments cover the rest
 
@@ -520,18 +528,12 @@ def normal_form(s: Sentence, sig: Signature, frag: FragmentConfig) -> NormalForm
         if isinstance(t, And):
             if not t.items:
                 return leaf(scope), lambda g: True
-            subs = [rec(item, scope) for item in t.items]
             # group equal subtrees so idle branches stay pairwise distinct
-            groups: list[tuple[GameboardTree, list[Callable]]] = []
-            for tr, p in subs:
-                for gi, (gtr, preds) in enumerate(groups):
-                    if gtr == tr:
-                        preds.append(p)
-                        break
-                else:
-                    groups.append((tr, [p]))
-            tree = GameboardTree(scope, tuple((Edge("idle"), gtr) for gtr, _ in groups))
-            all_preds = [preds for _, preds in groups]
+            groups: dict[GameboardTree, list[Callable]] = {}
+            for tr, p in (rec(item, scope) for item in t.items):
+                groups.setdefault(tr, []).append(p)
+            tree = GameboardTree(scope, tuple((Edge("idle"), gtr) for gtr in groups))
+            all_preds = list(groups.values())
 
             def pred(g, all_preds=all_preds):
                 return all(

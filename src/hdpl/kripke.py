@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,6 +84,14 @@ class KripkeModel:
     def __hash__(self):  # pragma: no cover - models are not meant to be hashed
         raise TypeError("KripkeModel is not hashable; key on states instead")
 
+    @property
+    def succ(self) -> "Successors":
+        """The successor maps of this model's actions, built on first use. They
+        reach the model through a weak proxy, so the two form no cycle."""
+        if "_succ" not in self.__dict__:
+            object.__setattr__(self, "_succ", Successors(weakref.proxy(self)))
+        return self._succ
+
 
 @dataclass(frozen=True, eq=True)
 class PointedModel:
@@ -150,8 +159,7 @@ def successor_map(pairs: frozenset[StatePair], states: tuple[str, ...]) -> dict[
 
 
 class Successors(dict):
-    """The successor map of each action in one model, built on first use. One
-    serves a whole evaluation: binding a variable never changes the relations."""
+    """The successor map of each action in one model, built on first use."""
 
     def __init__(self, m: KripkeModel):
         super().__init__()
@@ -184,19 +192,6 @@ def reduct(m: KripkeModel) -> KripkeModel:
     sig = Signature(m.sig.nominals, m.sig.relations, m.sig.props, m.sig.bound_vars[:-1])
     interp = {k: v for k, v in m.nominal_interp.items() if k != last}
     return KripkeModel(sig, m.states, interp, m.relation_interp, m.valuation)
-
-
-def reduct_renaming(m: KripkeModel, source_sig: Signature, mapping: dict[str, str]) -> KripkeModel:
-    """Reduct of `m` along a bijective symbol renaming from `source_sig` into
-    the symbols of `m.sig`."""
-    interp = {k: m.nominal_interp[mapping[k]] for k in source_sig.point_names()}
-    rels = {r: m.relation_interp[mapping[r]] for r in source_sig.relations}
-    inverse_props = {mapping[p]: p for p in source_sig.props}
-    val = {
-        w: frozenset(inverse_props[p] for p in props if p in inverse_props)
-        for w, props in m.valuation.items()
-    }
-    return KripkeModel(source_sig, m.states, interp, rels, val)
 
 
 # ---------------------------------------------------------------------------
@@ -341,24 +336,6 @@ def generate_random_model(seed, n_states: int, edge_density: float, sig: Signatu
         for w in states
     }
     return KripkeModel(sig, states, interp, rels, val)
-
-
-def generate_random_rooted_model(seed, n_states: int, edge_density: float, sig: Signature) -> KripkeModel:
-    """Random model guaranteed rooted at its first state: a random spanning
-    arborescence plus density edges."""
-    if not sig.relations:
-        raise ModelError("a rooted model needs at least one relation")
-    rng = _rng(seed)
-    m = generate_random_model(rng, n_states, edge_density, sig)
-    states = m.states
-    rels = {r: set(pairs) for r, pairs in m.relation_interp.items()}
-    for i in range(1, n_states):
-        parent = states[rng.randrange(i)]
-        rel = rng.choice(sig.relations)
-        rels[rel].add((parent, states[i]))
-    rooted = KripkeModel(sig, states, m.nominal_interp, {r: frozenset(p) for r, p in rels.items()}, m.valuation)
-    assert is_rooted(PointedModel(rooted, states[0]))
-    return rooted
 
 
 # ---------------------------------------------------------------------------

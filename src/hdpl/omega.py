@@ -40,7 +40,6 @@ from .syntax import (
     Rel,
     Star,
     Union,
-    print_action,
 )
 
 Pair = tuple[str, str]
@@ -115,8 +114,8 @@ def action_pair_closure(
     return items
 
 
-def _action_steps(frag: FragmentConfig, m: KripkeModel, n: KripkeModel) -> list[tuple[Action, dict, dict]]:
-    """(Rel(r), left successor map, right successor map) for each relation r
+def _action_steps(frag: FragmentConfig, m: KripkeModel, n: KripkeModel) -> list[tuple[str, dict, dict]]:
+    """(r, left successor map, right successor map) for each relation name r
     of the signature, in signature order; none when the fragment has no
     diamond."""
     if m.sig.relations != n.sig.relations:
@@ -124,7 +123,7 @@ def _action_steps(frag: FragmentConfig, m: KripkeModel, n: KripkeModel) -> list[
     if "diamond" not in frag.ops:
         return []
     return [
-        (Rel(r), successor_map(m.relation_interp[r], m.states), successor_map(n.relation_interp[r], n.states))
+        (r, successor_map(m.relation_interp[r], m.states), successor_map(n.relation_interp[r], n.states))
         for r in m.sig.relations
     ]
 
@@ -374,16 +373,16 @@ def validate_bisim_family(
             for j in range(level):
                 if (wt[j] == w) != (vt[j] == v):
                     violations.append(f"(wvar) fails at index {j + 1}, level {level}: {entry}")
-            for term, sl, sr in steps:
+            for rel, sl, sr in steps:
                 for w2 in sl[w]:
                     if not any(((wt, w2), (vt, v2)) in fam.entries(level) for v2 in sr[v]):
                         violations.append(
-                            f"(forth) fails for action {print_action(term)} to {w2}, level {level}: {entry}"
+                            f"(forth) fails for action {rel} to {w2}, level {level}: {entry}"
                         )
                 for v2 in sr[v]:
                     if not any(((wt, w2), (vt, v2)) in fam.entries(level) for w2 in sl[w]):
                         violations.append(
-                            f"(back) fails for action {print_action(term)} to {v2}, level {level}: {entry}"
+                            f"(back) fails for action {rel} to {v2}, level {level}: {entry}"
                         )
             if "at" in frag.ops:
                 for j in range(level):

@@ -10,14 +10,21 @@ Surface grammar (ASCII, precedence low -> high: `|`, `&`, prefix operators):
 
 Derived forms (`|`, `[a]`, `forall`, `false`) are expanded while parsing and
 never stored; the printer re-introduces them so that parse(print(s)) == s.
-Conjunctions are kept canonical: duplicate-free, sorted by a stable term
-ordering, and never unary. Disjunctions, conjunctions of negations under a
+Conjunctions are kept canonical: duplicate-free, sorted by their canonical
+text, and never unary. Disjunctions, conjunctions of negations under a
 negation, are never unary either: a single disjunct stands for itself.
+
+Terms are immutable and hash-consed (Filliatre & Conchon, "Type-safe modular
+hash-consing", ML Workshop 2006): while a term lives, building one with equal
+fields returns it, so equal terms are one object and `==` and `hash` are
+identity. Each term renders its canonical text once, on its first print.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -176,29 +183,102 @@ class FragmentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Action terms
+# Terms. The intern table maps (class, fields), a field that is a term by its
+# id, to a weak reference, so it keeps no term alive; a dead term's entry is
+# dropped by the callback. A live entry's ids are its live term's children's.
+
+_TABLE: dict[tuple, "_Ref"] = {}
+_new, _set = object.__new__, object.__setattr__
 
 
-@dataclass(frozen=True)
-class Rel:
-    name: str
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
 
 
-@dataclass(frozen=True)
-class Union:
-    left: "Action"
-    right: "Action"
+def _drop(ref: _Ref):
+    _remove_dead_weakref(_TABLE, ref.key)  # only if no live term took the key
 
 
-@dataclass(frozen=True)
-class Comp:
-    left: "Action"
-    right: "Action"
+def _make(cls, key: tuple, *values):
+    """A new `cls` term with these field values, entered under `key`; or the
+    live term another thread entered there first. Each table step is atomic."""
+    t = _new(cls)
+    for name, value in zip(cls.__slots__, values):
+        _set(t, name, value)
+    _set(t, "_txt", None)
+    ref = _Ref(t, _drop)
+    ref.key = key
+    while (got := _TABLE.setdefault(key, ref)) is not ref:
+        if (other := got()) is not None:
+            return other
+        _remove_dead_weakref(_TABLE, key)
+    return t
 
 
-@dataclass(frozen=True)
-class Star:
-    body: "Action"
+class _Term:
+    """An immutable, hash-consed term. The first print caches its canonical
+    text in `_txt` and the precedence of that text's outer form in `_prec`."""
+
+    __slots__ = ("__weakref__", "_txt", "_prec")
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete '{name}': terms are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __repr__(self):
+        return type(self).__name__ + "(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__) + ")"
+
+
+class _Named(_Term):
+    __slots__ = ()
+
+    def __new__(cls, name: str):
+        key = (cls, name)
+        return (ref := _TABLE.get(key)) and ref() or _make(cls, key, name)
+
+
+class _Unary(_Term):
+    __slots__ = ()
+
+    def __new__(cls, body):
+        key = (cls, id(body))
+        return (ref := _TABLE.get(key)) and ref() or _make(cls, key, body)
+
+
+class _Pair(_Term):
+    __slots__ = ()
+
+    def __new__(cls, first, second):
+        key = (cls, id(first), id(second))
+        return (ref := _TABLE.get(key)) and ref() or _make(cls, key, first, second)
+
+
+class _Tagged(_Term):
+    __slots__ = ()
+
+    def __new__(cls, tag: str, body: "Sentence"):
+        key = (cls, tag, id(body))
+        return (ref := _TABLE.get(key)) and ref() or _make(cls, key, tag, body)
+
+
+class Rel(_Named):
+    __slots__ = ("name",)
+
+
+class Union(_Pair):
+    __slots__ = ("left", "right")
+
+
+class Comp(_Pair):
+    __slots__ = ("left", "right")
+
+
+class Star(_Unary):
+    __slots__ = ("body",)
 
 
 Action = Rel | Union | Comp | Star
@@ -226,54 +306,43 @@ def walk_action(a: Action, path: str = ""):
         path, a = stack.pop()
 
 
-# ---------------------------------------------------------------------------
-# Sentence terms
+class Prop(_Named):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Prop:
-    name: str
-
-
-@dataclass(frozen=True)
-class Nom:
+class Nom(_Named):
     """A nominal or bound variable, true exactly at the state it names."""
 
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class And:
-    items: tuple["Sentence", ...]
+class And(_Term):
+    __slots__ = ("items",)
+
+    def __new__(cls, items: Iterable["Sentence"]):
+        items = tuple(items)
+        key = (cls, *map(id, items))
+        return (ref := _TABLE.get(key)) and ref() or _make(cls, key, items)
 
 
-@dataclass(frozen=True)
-class Neg:
-    body: "Sentence"
+class Neg(_Unary):
+    __slots__ = ("body",)
 
 
-@dataclass(frozen=True)
-class Dia:
-    action: Action
-    body: "Sentence"
+class Dia(_Pair):
+    __slots__ = ("action", "body")
 
 
-@dataclass(frozen=True)
-class At:
-    name: str
-    body: "Sentence"
+class At(_Tagged):
+    __slots__ = ("name", "body")
 
 
-@dataclass(frozen=True)
-class Store:
-    var: str
-    body: "Sentence"
+class Store(_Tagged):
+    __slots__ = ("var", "body")
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: "Sentence"
+class Exists(_Tagged):
+    __slots__ = ("var", "body")
 
 
 Sentence = Prop | Nom | And | Neg | Dia | At | Store | Exists
@@ -283,14 +352,12 @@ FALSE = Neg(TRUE)
 
 
 def conj(items: Iterable[Sentence]) -> Sentence:
-    """Canonical conjunction: deduplicated, sorted, singleton-collapsed."""
-    unique = {}
-    for s in items:
-        unique.setdefault(s, None)
-    ordered = sorted(unique, key=print_sentence)
+    """Canonical conjunction: deduplicated, sorted by the canonical text,
+    singleton-collapsed."""
+    ordered = sorted(dict.fromkeys(items), key=print_sentence)
     if len(ordered) == 1:
         return ordered[0]
-    return And(tuple(ordered))
+    return And(ordered)
 
 
 def disj(items: Iterable[Sentence]) -> Sentence:
@@ -314,73 +381,68 @@ def basic_sentences(sig: Signature) -> tuple[Sentence, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Printing
+# Printing: each distinct term renders its text once and caches it; a context
+# that binds tighter than the text's outer form adds the parentheses. In
+# actions `+` binds like `|`, `;` like `&` and `*` like a prefix.
 
 _P_OR, _P_AND, _P_PREFIX, _P_ATOM = 0, 1, 2, 3
 
 
 def print_action(a: Action) -> str:
-    return _print_act(a, 0)
-
-
-def _print_act(a: Action, need: int) -> str:
-    if isinstance(a, Rel):
-        return a.name
-    if isinstance(a, Star):
-        text = _print_act(a.body, 2) + "*"
-        return text
-    if isinstance(a, Comp):
-        text = _print_act(a.left, 1) + ";" + _print_act(a.right, 2)
-        return f"({text})" if need > 1 else text
-    if isinstance(a, Union):
-        text = _print_act(a.left, 0) + "+" + _print_act(a.right, 1)
-        return f"({text})" if need > 0 else text
-    raise TypeError(f"not an action: {a!r}")
+    return a._txt or _print(a, _P_OR)
 
 
 def print_sentence(s: Sentence) -> str:
-    return _print(s, _P_OR)
+    return s._txt or _print(s, _P_OR)
 
 
-def _or_parts(s: Sentence) -> list[Sentence] | None:
-    # disjunction sugar: ~(~a & ~b & ...)
-    if isinstance(s, Neg) and isinstance(s.body, And) and len(s.body.items) >= 2:
-        if all(isinstance(i, Neg) for i in s.body.items):
-            return [i.body for i in s.body.items]
-    return None
-
-
-def _print(s: Sentence, need: int) -> str:
-    if isinstance(s, Prop) or isinstance(s, Nom):
-        return s.name
-    if isinstance(s, And):
-        if not s.items:
-            return "true"
-        if len(s.items) == 1:
-            return _print(s.items[0], need)
-        text = " & ".join(_print(i, _P_PREFIX) for i in s.items)
-        return f"({text})" if need > _P_AND else text
-    if isinstance(s, Neg):
-        if s.body == TRUE:
-            return "false"
-        parts = _or_parts(s)
-        if parts is not None:
-            text = " | ".join(_print(p, _P_AND) for p in parts)
-            return f"({text})" if need > _P_OR else text
-        if isinstance(s.body, Dia) and isinstance(s.body.body, Neg):
-            return f"[{print_action(s.body.action)}]" + _print(s.body.body.body, _P_PREFIX)
-        if isinstance(s.body, Exists) and isinstance(s.body.body, Neg):
-            return f"forall {s.body.var} . " + _print(s.body.body.body, _P_PREFIX)
-        return "~" + _print(s.body, _P_PREFIX)
-    if isinstance(s, Dia):
-        return f"<{print_action(s.action)}>" + _print(s.body, _P_PREFIX)
-    if isinstance(s, At):
-        return f"@{s.name} " + _print(s.body, _P_PREFIX)
-    if isinstance(s, Store):
-        return f"down {s.var} . " + _print(s.body, _P_PREFIX)
-    if isinstance(s, Exists):
-        return f"exists {s.var} . " + _print(s.body, _P_PREFIX)
-    raise TypeError(f"not a sentence: {s!r}")
+def _print(t: Action | Sentence, need: int) -> str:
+    text = t._txt
+    if text is None:
+        prec = _P_PREFIX
+        if isinstance(t, (Prop, Nom, Rel)):
+            text, prec = t.name, _P_ATOM
+        elif isinstance(t, And):
+            if len(t.items) == 1:
+                text, prec = _print(t.items[0], _P_OR), t.items[0]._prec
+            elif t.items:
+                text, prec = " & ".join(_print(i, _P_PREFIX) for i in t.items), _P_AND
+            else:
+                text, prec = "true", _P_ATOM
+        elif isinstance(t, Neg):
+            b = t.body
+            if b is TRUE:
+                text, prec = "false", _P_ATOM
+            elif isinstance(b, And) and len(b.items) >= 2 and all(isinstance(i, Neg) for i in b.items):
+                # disjunction sugar: ~(~a & ~b & ...)
+                text, prec = " | ".join(_print(i.body, _P_AND) for i in b.items), _P_OR
+            elif isinstance(b, Dia) and isinstance(b.body, Neg):
+                text = f"[{print_action(b.action)}]" + _print(b.body.body, _P_PREFIX)
+            elif isinstance(b, Exists) and isinstance(b.body, Neg):
+                text = f"forall {b.var} . " + _print(b.body.body, _P_PREFIX)
+            else:
+                text = "~" + _print(b, _P_PREFIX)
+        elif isinstance(t, Dia):
+            text = f"<{print_action(t.action)}>" + _print(t.body, _P_PREFIX)
+        elif isinstance(t, At):
+            text = f"@{t.name} " + _print(t.body, _P_PREFIX)
+        elif isinstance(t, Store):
+            text = f"down {t.var} . " + _print(t.body, _P_PREFIX)
+        elif isinstance(t, Exists):
+            text = f"exists {t.var} . " + _print(t.body, _P_PREFIX)
+        elif isinstance(t, Star):
+            text = _print(t.body, _P_PREFIX) + "*"
+        elif isinstance(t, Comp):
+            text, prec = _print(t.left, _P_AND) + ";" + _print(t.right, _P_PREFIX), _P_AND
+        elif isinstance(t, Union):
+            text, prec = _print(t.left, _P_OR) + "+" + _print(t.right, _P_AND), _P_OR
+        else:
+            raise TypeError(f"not a term: {t!r}")
+        _set(t, "_prec", prec)  # before `_txt`, which tells other threads both are set
+        _set(t, "_txt", text)
+    else:
+        prec = t._prec
+    return f"({text})" if need > prec else text
 
 
 # ---------------------------------------------------------------------------
@@ -617,29 +679,43 @@ def check_action(a: Action, sig: Signature):
 
 def check_sentence(s: Sentence, sig: Signature):
     """Raise if `s` is not well-formed over `sig` (undeclared symbols or
-    colliding binder names)."""
-    if isinstance(s, Prop):
-        if s.name not in sig.props:
-            raise UndeclaredSymbolError(s.name)
-    elif isinstance(s, Nom):
-        if s.name not in sig.point_names():
-            raise UndeclaredSymbolError(s.name)
-    elif isinstance(s, And):
-        for i in s.items:
-            check_sentence(i, sig)
-    elif isinstance(s, Neg):
-        check_sentence(s.body, sig)
-    elif isinstance(s, Dia):
-        check_action(s.action, sig)
-        check_sentence(s.body, sig)
-    elif isinstance(s, At):
-        if s.name not in sig.point_names():
-            raise UndeclaredSymbolError(s.name)
-        check_sentence(s.body, sig)
-    elif isinstance(s, (Store, Exists)):
-        check_sentence(s.body, extend_signature_with(sig, s.var))
-    else:
-        raise TypeError(f"not a sentence: {s!r}")
+    colliding binder names). Binders change only the point names in scope, so
+    one call checks each distinct action, and each distinct conjunction under
+    the same point names, once."""
+    checked: set = set()  # actions, and (conjunction, point names) pairs
+
+    def check(s: Sentence, points: frozenset[str]):
+        if isinstance(s, Prop):
+            if s.name not in sig.props:
+                raise UndeclaredSymbolError(s.name)
+        elif isinstance(s, Nom):
+            if s.name not in points:
+                raise UndeclaredSymbolError(s.name)
+        elif isinstance(s, And):
+            if (s, points) in checked:
+                return
+            for i in s.items:
+                check(i, points)
+            checked.add((s, points))
+        elif isinstance(s, Neg):
+            check(s.body, points)
+        elif isinstance(s, Dia):
+            if s.action not in checked:
+                check_action(s.action, sig)
+                checked.add(s.action)
+            check(s.body, points)
+        elif isinstance(s, At):
+            if s.name not in points:
+                raise UndeclaredSymbolError(s.name)
+            check(s.body, points)
+        elif isinstance(s, (Store, Exists)):
+            if s.var in points or s.var in sig.props or s.var in sig.relations:
+                raise SignatureError(f"variable name '{s.var}' collides with a declared symbol")
+            check(s.body, points | {s.var})
+        else:
+            raise TypeError(f"not a sentence: {s!r}")
+
+    check(s, frozenset(sig.point_names()))
 
 
 @dataclass(frozen=True)
@@ -653,78 +729,33 @@ class FragmentReport:
         return "; ".join(f"{ctor} at {path}" for path, ctor in self.violations)
 
 
+# the fragment operator of each prefix sentence constructor, and its path step
+_OP_STEP = {Dia: ("diamond", "/<>"), At: ("at", "/@"), Store: ("store", "/down"), Exists: ("exists", "/exists")}
+
+
 def validate_in_fragment(s: Sentence, frag: FragmentConfig) -> FragmentReport:
     """Report every constructor of `s` that the fragment does not enable."""
     out: list[tuple[str, str]] = []
 
     def walk(t: Sentence, path: str):
-        if isinstance(t, (Prop, Nom)):
-            return
         if isinstance(t, And):
             for i, item in enumerate(t.items):
                 walk(item, f"{path}/{i}")
         elif isinstance(t, Neg):
             walk(t.body, path + "/~")
-        elif isinstance(t, Dia):
-            if "diamond" not in frag.ops:
-                out.append((path, "diamond"))
-            for apath, a in walk_action(t.action, path + "/act"):
-                ctor = ACTION_CTOR.get(type(a))
-                if ctor is not None and ctor not in frag.action_ctors:
-                    out.append((apath, ctor))
-            walk(t.body, path + "/<>")
-        elif isinstance(t, At):
-            if "at" not in frag.ops:
-                out.append((path, "at"))
-            walk(t.body, path + "/@")
-        elif isinstance(t, Store):
-            if "store" not in frag.ops:
-                out.append((path, "store"))
-            walk(t.body, path + "/down")
-        elif isinstance(t, Exists):
-            if "exists" not in frag.ops:
-                out.append((path, "exists"))
-            walk(t.body, path + "/exists")
+        elif isinstance(t, (Dia, At, Store, Exists)):
+            op, step = _OP_STEP[type(t)]
+            if op not in frag.ops:
+                out.append((path, op))
+            if isinstance(t, Dia):
+                for apath, a in walk_action(t.action, path + "/act"):
+                    ctor = ACTION_CTOR.get(type(a))
+                    if ctor is not None and ctor not in frag.action_ctors:
+                        out.append((apath, ctor))
+            walk(t.body, path + step)
 
     walk(s, "root")
     return FragmentReport(not out, tuple(out))
-
-
-# ---------------------------------------------------------------------------
-# Renaming (signature morphisms restricted to bijective symbol renamings)
-
-
-def rename_action(a: Action, mapping: dict[str, str]) -> Action:
-    if isinstance(a, Rel):
-        return Rel(mapping.get(a.name, a.name))
-    if isinstance(a, Union):
-        return Union(rename_action(a.left, mapping), rename_action(a.right, mapping))
-    if isinstance(a, Comp):
-        return Comp(rename_action(a.left, mapping), rename_action(a.right, mapping))
-    if isinstance(a, Star):
-        return Star(rename_action(a.body, mapping))
-    raise TypeError(f"not an action: {a!r}")
-
-
-def rename_sentence(s: Sentence, mapping: dict[str, str]) -> Sentence:
-    """Apply a symbol renaming to every declared symbol (variables are kept)."""
-    if isinstance(s, Prop):
-        return Prop(mapping.get(s.name, s.name))
-    if isinstance(s, Nom):
-        return Nom(mapping.get(s.name, s.name))
-    if isinstance(s, And):
-        return conj([rename_sentence(i, mapping) for i in s.items])
-    if isinstance(s, Neg):
-        return Neg(rename_sentence(s.body, mapping))
-    if isinstance(s, Dia):
-        return Dia(rename_action(s.action, mapping), rename_sentence(s.body, mapping))
-    if isinstance(s, At):
-        return At(mapping.get(s.name, s.name), rename_sentence(s.body, mapping))
-    if isinstance(s, Store):
-        return Store(s.var, rename_sentence(s.body, mapping))
-    if isinstance(s, Exists):
-        return Exists(s.var, rename_sentence(s.body, mapping))
-    raise TypeError(f"not a sentence: {s!r}")
 
 
 def canonical_vars(s: Sentence, sig: Signature) -> Sentence:
@@ -746,10 +777,7 @@ def canonical_vars(s: Sentence, sig: Signature) -> Sentence:
             return At(env.get(t.name, t.name), walk(t.body, scope, env))
         if isinstance(t, (Store, Exists)):
             inner_scope, fresh = extend_signature(scope)
-            inner_env = dict(env)
-            inner_env[t.var] = fresh
-            body = walk(t.body, inner_scope, inner_env)
-            return Store(fresh, body) if isinstance(t, Store) else Exists(fresh, body)
+            return type(t)(fresh, walk(t.body, inner_scope, {**env, t.var: fresh}))
         raise TypeError(f"not a sentence: {t!r}")
 
     return walk(s, sig, {})

@@ -1,7 +1,8 @@
-"""Naive reference evaluator used as an independent oracle in tests.
+"""Naive reference evaluator and printer used as independent oracles in tests.
 
-Deliberately separate from the package checker: direct unmemoized recursion,
-its own action interpretation, no sharing of evaluation machinery.
+Deliberately separate from the package checker and printer: direct
+unmemoized recursion, its own action interpretation, no cached text and no
+sharing of evaluation machinery.
 """
 
 from hdpl.kripke import KripkeModel, PointedModel, expand
@@ -51,3 +52,56 @@ def naive_sat(m: KripkeModel, w: str, s) -> bool:
 
 def naive_satisfies(pm: PointedModel, s) -> bool:
     return naive_sat(pm.model, pm.current, s)
+
+
+# ---------------------------------------------------------------------------
+# Reference printer: plain recursion over the term, nothing cached
+
+_OR, _AND, _PREFIX = 0, 1, 2
+
+
+def naive_print_action(a, need: int = 0) -> str:
+    if isinstance(a, Rel):
+        return a.name
+    if isinstance(a, Star):
+        return naive_print_action(a.body, 2) + "*"
+    if isinstance(a, Comp):
+        text = naive_print_action(a.left, 1) + ";" + naive_print_action(a.right, 2)
+        return f"({text})" if need > 1 else text
+    if isinstance(a, Union):
+        text = naive_print_action(a.left, 0) + "+" + naive_print_action(a.right, 1)
+        return f"({text})" if need > 0 else text
+    raise TypeError(a)
+
+
+def naive_print(s, need: int = _OR) -> str:
+    if isinstance(s, (Prop, Nom)):
+        return s.name
+    if isinstance(s, And):
+        if not s.items:
+            return "true"
+        if len(s.items) == 1:
+            return naive_print(s.items[0], need)
+        text = " & ".join(naive_print(i, _PREFIX) for i in s.items)
+        return f"({text})" if need > _AND else text
+    if isinstance(s, Neg):
+        b = s.body
+        if isinstance(b, And) and not b.items:
+            return "false"
+        if isinstance(b, And) and len(b.items) >= 2 and all(isinstance(i, Neg) for i in b.items):
+            text = " | ".join(naive_print(i.body, _AND) for i in b.items)
+            return f"({text})" if need > _OR else text
+        if isinstance(b, Dia) and isinstance(b.body, Neg):
+            return f"[{naive_print_action(b.action)}]" + naive_print(b.body.body, _PREFIX)
+        if isinstance(b, Exists) and isinstance(b.body, Neg):
+            return f"forall {b.var} . " + naive_print(b.body.body, _PREFIX)
+        return "~" + naive_print(b, _PREFIX)
+    if isinstance(s, Dia):
+        return f"<{naive_print_action(s.action)}>" + naive_print(s.body, _PREFIX)
+    if isinstance(s, At):
+        return f"@{s.name} " + naive_print(s.body, _PREFIX)
+    if isinstance(s, Store):
+        return f"down {s.var} . " + naive_print(s.body, _PREFIX)
+    if isinstance(s, Exists):
+        return f"exists {s.var} . " + naive_print(s.body, _PREFIX)
+    raise TypeError(s)

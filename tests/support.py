@@ -1,0 +1,112 @@
+"""Helpers the tests share that the library itself never calls: symbol
+renamings of sentences and models, rooted random models, and occurrence
+counts of gameboard trees."""
+
+import random
+
+from hdpl.gameboard import GameboardTree
+from hdpl.kripke import KripkeModel, ModelError, PointedModel, generate_random_model, is_rooted
+from hdpl.syntax import (
+    Action,
+    And,
+    At,
+    Comp,
+    Dia,
+    Exists,
+    Neg,
+    Nom,
+    Prop,
+    Rel,
+    Sentence,
+    Signature,
+    Star,
+    Store,
+    Union,
+    conj,
+)
+
+
+# ---------------------------------------------------------------------------
+# Renaming (signature morphisms restricted to bijective symbol renamings)
+
+
+def rename_action(a: Action, mapping: dict[str, str]) -> Action:
+    if isinstance(a, Rel):
+        return Rel(mapping.get(a.name, a.name))
+    if isinstance(a, Union):
+        return Union(rename_action(a.left, mapping), rename_action(a.right, mapping))
+    if isinstance(a, Comp):
+        return Comp(rename_action(a.left, mapping), rename_action(a.right, mapping))
+    if isinstance(a, Star):
+        return Star(rename_action(a.body, mapping))
+    raise TypeError(f"not an action: {a!r}")
+
+
+def rename_sentence(s: Sentence, mapping: dict[str, str]) -> Sentence:
+    """Apply a symbol renaming to every declared symbol (variables are kept)."""
+    if isinstance(s, Prop):
+        return Prop(mapping.get(s.name, s.name))
+    if isinstance(s, Nom):
+        return Nom(mapping.get(s.name, s.name))
+    if isinstance(s, And):
+        return conj([rename_sentence(i, mapping) for i in s.items])
+    if isinstance(s, Neg):
+        return Neg(rename_sentence(s.body, mapping))
+    if isinstance(s, Dia):
+        return Dia(rename_action(s.action, mapping), rename_sentence(s.body, mapping))
+    if isinstance(s, At):
+        return At(mapping.get(s.name, s.name), rename_sentence(s.body, mapping))
+    if isinstance(s, Store):
+        return Store(s.var, rename_sentence(s.body, mapping))
+    if isinstance(s, Exists):
+        return Exists(s.var, rename_sentence(s.body, mapping))
+    raise TypeError(f"not a sentence: {s!r}")
+
+
+def reduct_renaming(m: KripkeModel, source_sig: Signature, mapping: dict[str, str]) -> KripkeModel:
+    """Reduct of `m` along a bijective symbol renaming from `source_sig` into
+    the symbols of `m.sig`."""
+    interp = {k: m.nominal_interp[mapping[k]] for k in source_sig.point_names()}
+    rels = {r: m.relation_interp[mapping[r]] for r in source_sig.relations}
+    inverse_props = {mapping[p]: p for p in source_sig.props}
+    val = {
+        w: frozenset(inverse_props[p] for p in props if p in inverse_props)
+        for w, props in m.valuation.items()
+    }
+    return KripkeModel(source_sig, m.states, interp, rels, val)
+
+
+# ---------------------------------------------------------------------------
+# Random rooted models
+
+
+def generate_random_rooted_model(seed, n_states: int, edge_density: float, sig: Signature) -> KripkeModel:
+    """Random model guaranteed rooted at its first state: a random spanning
+    arborescence plus density edges."""
+    if not sig.relations:
+        raise ModelError("a rooted model needs at least one relation")
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    m = generate_random_model(rng, n_states, edge_density, sig)
+    states = m.states
+    rels = {r: set(pairs) for r, pairs in m.relation_interp.items()}
+    for i in range(1, n_states):
+        parent = states[rng.randrange(i)]
+        rel = rng.choice(sig.relations)
+        rels[rel].add((parent, states[i]))
+    rooted = KripkeModel(sig, states, m.nominal_interp, {r: frozenset(p) for r, p in rels.items()}, m.valuation)
+    assert is_rooted(PointedModel(rooted, states[0]))
+    return rooted
+
+
+# ---------------------------------------------------------------------------
+# Gameboard trees, counted per occurrence (exponential on shared trees)
+
+
+def tree_height(tr: GameboardTree) -> int:
+    if not tr.children:
+        return 0
+    return 1 + max(tree_height(child) for _, child in tr.children)
+
+
+def count_nodes(tr: GameboardTree) -> int:
+    return 1 + sum(count_nodes(child) for _, child in tr.children)

@@ -31,7 +31,6 @@ from hdpl.kripke import (
     PointedModel,
     find_isomorphism,
     generate_random_model,
-    generate_random_rooted_model,
 )
 from hdpl.omega import (
     back_and_forth_hypotheses,
@@ -43,6 +42,7 @@ from hdpl.omega import (
 from hdpl.seqgame import seq_survives
 from hdpl.syntax import FragmentConfig, Rel, Signature, parse_sentence
 
+from support import generate_random_rooted_model
 from test_omega import identity_family
 
 

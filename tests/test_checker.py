@@ -80,8 +80,7 @@ class TestSatisfactionCondition:
             )
 
     def test_renaming_instances(self):
-        from hdpl.kripke import reduct_renaming
-        from hdpl.syntax import rename_sentence
+        from support import reduct_renaming, rename_sentence
 
         mapping = {"k": "j", "l": "m", "p": "q"}
         target = Signature(nominals=("j",), relations=("m",), props=("q",))

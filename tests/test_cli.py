@@ -436,3 +436,22 @@ class TestErrors:
         )
         assert code == 2
         assert capsys.readouterr().err == "error: input nests too deeply\n"
+
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            pytest.param(ValueError("boom"), "error: internal error: ValueError: boom\n", id="value-error"),
+            pytest.param(KeyError("s9"), "error: internal error: KeyError: 's9'\n", id="key-error"),
+        ],
+    )
+    def test_internal_error_exit_two(self, demo_dir, capsys, monkeypatch, exc, line):
+        # a fault inside a subcommand is one error line and exit 2, never a
+        # traceback and never exit 1, which would read as a negative verdict
+        def broken(args):
+            raise exc
+
+        monkeypatch.setattr("hdpl.cli._cmd_check", broken)
+        code = main(["check", "--model", str(demo_dir / "loop.json"), "--state", "0", "--formula", "p"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert (captured.out, captured.err) == ("", line)

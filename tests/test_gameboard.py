@@ -9,16 +9,15 @@ from hdpl.gameboard import (
     GameboardTree,
     TreeError,
     complete_tree,
-    count_nodes,
     leaf,
     parse_tree,
     print_tree,
     prune_to_height,
-    tree_height,
     validate_tree,
 )
 from hdpl.kripke import generate_random_model
 from hdpl.syntax import Comp, FragmentConfig, ParseError, Rel, Signature, Star, Union, extend_signature
+from support import count_nodes, tree_height
 
 SIG = fx.SIG_P
 FULL = FragmentConfig.full()

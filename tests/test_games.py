@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hdpl import fixtures as fx
 from hdpl.checker import basic_agreement, satisfies
 from hdpl.corpus import (
     FRAGMENTS,
+    default_actions,
     observing_tree,
     random_model_pair,
     random_sentence,
@@ -85,6 +87,59 @@ class TestLowering:
             "<l>(~x & p) & <l>(~x & ~p) & [l]((~x & p) | (~x & ~p))", sigx
         )
         assert lowered == expected
+
+
+# (count, sha256) of the lowered texts, one per line, of every game sentence
+# over 70 `hdpl.corpus` tree draws; recorded before terms were hash-consed
+LOWERED_DIGEST = (2886, "98a350c3dbf8faad5ae3a83b0a14f7c4aa326022f0e412e193c2266a891203d3")
+
+
+class TestLoweredTerms:
+    def test_lowered_texts_unchanged(self):
+        digest, count = hashlib.sha256(), 0
+        rng = random.Random(2024)
+        for f in FRAGMENTS:
+            for _ in range(10):
+                tr = random_tree(rng, small_signature(rng), f, default_actions(f), max_height=3, theta_cap=256)
+                for g in enumerate_game_sentences(tr, 256):
+                    digest.update(print_sentence(lower_game_sentence(g)).encode() + b"\n")
+                    count += 1
+        assert (count, digest.hexdigest()) == LOWERED_DIGEST
+
+    @pytest.mark.parametrize("f", FRAGMENTS, ids=lambda f: f.describe())
+    def test_equal_lowered_sentences_are_one_object(self, f):
+        rng = random.Random(5)
+        for _ in range(4):
+            sig = small_signature(rng)
+            tr = random_tree(rng, sig, f, default_actions(f), max_height=2, theta_cap=64)
+            theta = enumerate_game_sentences(tr, 64)
+            for g in theta:
+                s = lower_game_sentence(g)
+                assert lower_game_sentence(g) is s
+                assert parse_sentence(print_sentence(s), sig) is s
+            # char_formula builds an equal game sentence of its own; its
+            # lowering is the same object as the enumerated one's
+            g = char_formula(tr, random_pointed(rng, sig))
+            assert lower_game_sentence(g) is lower_game_sentence(theta[theta.index(g)])
+
+    def test_each_part_is_lowered_once(self, monkeypatch):
+        from hdpl import games
+
+        calls = []
+        real = games._lower_part
+        monkeypatch.setattr(games, "_lower_part", lambda *args: calls.append(args) or real(*args))
+        tr = complete_tree(SIG, frag({"diamond"}), 2, [Rel("l")])
+        theta = enumerate_game_sentences(tr, 10_000)
+        parts, stack = {}, list(theta)
+        while stack:
+            g = stack.pop()
+            for p in getattr(g, "parts", ()):
+                if id(p) not in parts:
+                    parts[id(p)] = p
+                    stack.extend(p.members)
+        for g in theta + theta:
+            lower_game_sentence(g)
+        assert len(calls) == len(parts) < len(theta) * len(tr.children)
 
 
 class TestCharFormula:

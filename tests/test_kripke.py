@@ -10,16 +10,15 @@ from hdpl.kripke import (
     expand,
     find_isomorphism,
     generate_random_model,
-    generate_random_rooted_model,
     interpret_action,
     is_rooted,
     model_from_dict,
     model_to_dict,
     reduct,
-    reduct_renaming,
     verify_isomorphism,
 )
 from hdpl.syntax import Comp, Rel, Signature, SignatureError, Star, Union
+from support import generate_random_rooted_model, reduct_renaming
 
 SIG = Signature(nominals=("k",), relations=("l",), props=("p",))
 

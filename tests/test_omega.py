@@ -17,7 +17,6 @@ from hdpl.kripke import (
     PointedModel,
     find_isomorphism,
     generate_random_model,
-    generate_random_rooted_model,
     model_from_dict,
     successor_map,
 )
@@ -40,6 +39,7 @@ from hdpl.omega import (
 from hdpl.seqgame import seq_survives
 from hdpl.syntax import FragmentConfig, Rel, Signature, Star
 from oracle_bf import naive_max_back_and_forth
+from support import generate_random_rooted_model
 
 
 def frag(ops, ctors=()):

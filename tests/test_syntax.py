@@ -1,8 +1,17 @@
+import copy
+import gc
+import pickle
 import random
+import sys
+import threading
+import weakref
 
 import pytest
 
-from hdpl.corpus import FRAGMENTS, random_sentence, small_signature
+from hdpl import syntax
+from hdpl.corpus import FRAGMENTS, random_action, random_sentence, small_signature
+from oracle_eval import naive_print, naive_print_action
+from support import rename_sentence
 from hdpl.syntax import (
     And,
     Comp,
@@ -21,15 +30,16 @@ from hdpl.syntax import (
     Store,
     At,
     UndeclaredSymbolError,
+    box,
     check_sentence,
     conj,
     disj,
+    forall,
     extend_signature,
     parse_action,
     parse_sentence,
     print_action,
     print_sentence,
-    rename_sentence,
     validate_in_fragment,
 )
 
@@ -224,6 +234,22 @@ class TestValidateInFragment:
             check_sentence(s, SIG)
         assert err.value.symbol == "a"
 
+    def test_shared_conjunction_checked_in_each_scope(self):
+        # the conjunction x & p is well-formed under the binder only; its
+        # second occurrence, checked after the first, is outside the binder
+        body = conj([Nom("x"), Prop("p")])
+        check_sentence(Store("x", body), SIG)
+        with pytest.raises(UndeclaredSymbolError) as err:
+            check_sentence(And((Store("x", body), Dia(Rel("l"), body))), SIG)
+        assert err.value.symbol == "x"
+
+    def test_each_call_checks_actions_against_its_own_signature(self):
+        s = Dia(Star(Rel("m")), Prop("p"))
+        check_sentence(s, Signature(relations=("l", "m"), props=("p",)))
+        with pytest.raises(UndeclaredSymbolError) as err:
+            check_sentence(s, Signature(relations=("l",), props=("p",)))
+        assert err.value.symbol == "m"
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("frag", FRAGMENTS, ids=lambda f: f.describe())
@@ -250,3 +276,102 @@ def test_conjunction_canonical_order_and_dedup():
     assert conj([a, b, a]) == conj([b, a])
     assert conj([a]) == a
     assert disj([a]) == disj([a, a]) == a
+
+
+class TestTerms:
+    """Hash-consed terms: equal terms are one object, however they were
+    built, the intern table keeps no term alive, and the cached text is the
+    text a plain recursive printer gives."""
+
+    def test_parsed_and_constructed_terms_are_one_object(self):
+        s = parse_sentence("<l*>(p & ~k) | down x . @x p", SIG)
+        built = disj([Dia(Star(Rel("l")), conj([Prop("p"), Neg(Nom("k"))])), Store("x", At("x", Prop("p")))])
+        assert s is built
+        assert parse_action("l;l*+l", SIG) is Union(Comp(Rel("l"), Star(Rel("l"))), Rel("l"))
+        assert parse_sentence("[l]p", SIG) is box(Rel("l"), Prop("p"))
+        assert parse_sentence("forall x . x", SIG) is forall("x", Nom("x"))
+        assert Prop("k") is not Nom("k") and Comp(Rel("l"), Rel("l")) is not Union(Rel("l"), Rel("l"))
+
+    @pytest.mark.parametrize("frag", FRAGMENTS, ids=lambda f: f.describe())
+    def test_reparsed_corpus_sentences_are_one_object(self, frag):
+        rng = random.Random(31)
+        for _ in range(300):
+            sig = small_signature(rng)
+            s = random_sentence(rng, sig, frag)
+            assert parse_sentence(print_sentence(s), sig, frag) is s
+
+    def test_dead_terms_leave_the_table(self):
+        gc.collect()
+        before = len(syntax._TABLE)
+        rng = random.Random(7)
+        terms = [random_sentence(rng, small_signature(rng), FRAGMENTS[i % len(FRAGMENTS)]) for i in range(10_000)]
+        for s in terms[::10]:
+            print_sentence(s)
+        assert len(syntax._TABLE) > before + 1000
+        # the table holds weak references only, a field that is a term by its id
+        assert all(type(ref) is syntax._Ref and ref() is not None for ref in syntax._TABLE.values())
+        assert not any(isinstance(field, syntax._Term) for key in syntax._TABLE for field in key)
+        del terms, s
+        gc.collect()
+        assert len(syntax._TABLE) == before
+
+    @pytest.mark.parametrize("frag", FRAGMENTS, ids=lambda f: f.describe())
+    def test_cached_text_equals_the_reference_printer(self, frag):
+        # later sentences reuse earlier terms, printed and cached in another
+        # context, under conjunctions, disjunctions and prefixes
+        rng = random.Random(11)
+        seen = []
+        for _ in range(300):
+            sig = small_signature(rng)
+            s = random_sentence(rng, sig, frag)
+            if seen and rng.random() < 0.5:
+                other = rng.choice(seen)
+                s = rng.choice([conj([s, other]), disj([s, other]), Neg(conj([other, s])), Dia(Rel("l"), s)])
+            if rng.random() < 0.1:
+                # a one-item conjunction, which `conj` never makes, prints as its item
+                s = rng.choice([Neg(And((s,))), conj([And((s,)), Prop(sig.props[0])])])
+            assert print_sentence(s) == naive_print(s)
+            seen.append(s)
+            a = random_action(rng, sig, frag)
+            assert print_action(a) == naive_print_action(a)
+            assert print_action(Star(a)) == naive_print_action(Star(a))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_threads_building_equal_terms_get_one_object(self, seed):
+        # more threads than cores, switching often, parse and print the same
+        # new terms; a lost race in the table would give one thread a second
+        # object, and one in the text cache a text without its precedence
+        rng = random.Random(seed)
+        sig = Signature(nominals=("k",), relations=("l",), props=("p", "q"))
+        texts = [print_sentence(random_sentence(rng, sig, FRAGMENTS[-1], depth=4)) for _ in range(300)]
+        built = [None] * 6
+        start = threading.Barrier(len(built))
+
+        def work(i):
+            start.wait(timeout=60)
+            built[i] = [(s, print_sentence(s)) for s in (parse_sentence(text, sig) for text in texts)]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(built))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert all(s is first for other in built for (s, _), (first, _) in zip(other, built[0]))
+        assert [text for _, text in built[0]] == texts
+
+    def test_terms_are_immutable_and_copy_to_themselves(self):
+        s = parse_sentence("<l>(p & k)", SIG)
+        with pytest.raises(AttributeError):
+            s.body = Prop("p")
+        with pytest.raises(AttributeError):
+            del s.action
+        assert pickle.loads(pickle.dumps(s)) is s
+        assert copy.deepcopy(s) is s
+        assert weakref.ref(s)() is s
+        assert repr(Dia(Rel("l"), Prop("p"))) == "Dia(action=Rel(name='l'), body=Prop(name='p'))"
