@@ -20,14 +20,12 @@ from .syntax import (
     Action,
     FragmentConfig,
     HdplError,
-    ParseError,
     Rel,
     Signature,
     _TokenStream,
     _parse_act_union,
     extend_signature,
     print_action,
-    tokenize,
     walk_action,
 )
 
@@ -131,23 +129,21 @@ def validate_tree(tr: GameboardTree, frag: FragmentConfig) -> TreeReport:
             steps.append(f"/{i}:{edge_text(label)}")
         return "root" + "".join(reversed(steps))
 
-    def walk(node: GameboardTree, path):
-        """`path` is None at the root, else (parent path, edge index, label);
-        it is spelled out only when a problem is reported."""
-        before = len(problems)
-        seen_labels = set()
-        seen_idle = set()
-        for i, (label, child) in enumerate(node.children):
+    # the nodes being walked, innermost last: (node, path, problems before
+    # it, the labels and idle edges of its children so far, its remaining
+    # children); a path is None at the root, else (parent path, edge index,
+    # label), and is spelled out only when a problem is reported
+    stack = [(tr, None, 0, set(), enumerate(tr.children))]
+    while stack:
+        node, path, before, seen, todo = stack[-1]
+        for i, (label, child) in todo:
             here = (path, i, label)
+            idle = label.kind == "idle"
+            if ((label, child) if idle else label) in seen:
+                what = "idle edge (same subtree)" if idle else "sibling label"
+                problems.append(f"duplicate {what} at {spell(here)}")
+            seen.add((label, child) if idle else label)
             op, binds = KINDS[label.kind]
-            if label.kind == "idle":
-                if (label, child) in seen_idle:
-                    problems.append(f"duplicate idle edge (same subtree) at {spell(here)}")
-                seen_idle.add((label, child))
-            else:
-                if label in seen_labels:
-                    problems.append(f"duplicate sibling label at {spell(here)}")
-                seen_labels.add(label)
             if child.sig != child_signature(node.sig, label.kind):
                 if binds:
                     problems.append(
@@ -174,11 +170,12 @@ def validate_tree(tr: GameboardTree, frag: FragmentConfig) -> TreeReport:
             elif label.kind == "at" and label.arg not in node.sig.point_names():
                 problems.append(f"undeclared name '{label.arg}' at {spell(here)}")
             if id(child) not in clean:
-                walk(child, here)
-        if len(problems) == before:
-            clean.add(id(node))
-
-    walk(tr, None)
+                stack.append((child, here, len(problems), set(), enumerate(child.children)))
+                break
+        else:
+            stack.pop()
+            if len(problems) == before:
+                clean.add(id(node))
     return TreeReport(not problems, tuple(problems))
 
 
@@ -219,15 +216,6 @@ def complete_tree(
     return build(sig, height)
 
 
-def prune_to_height(tr: GameboardTree, height: int) -> GameboardTree:
-    if height <= 0:
-        return leaf(tr.sig)
-    return GameboardTree(
-        tr.sig,
-        tuple((label, prune_to_height(child, height - 1)) for label, child in tr.children),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Text format
 
@@ -242,61 +230,104 @@ def print_tree(tr: GameboardTree) -> str:
 
 
 def parse_tree(text: str, sig: Signature, frag: FragmentConfig | None = None) -> GameboardTree:
-    """Parse the text format against a root signature. Each distinct subtree
-    is built once, so equal subtrees of the result are one object. If a
-    fragment is given, the result is validated and an invalid tree raises
-    TreeError."""
-    ts = _TokenStream(tokenize(text), len(text))
-    tr = _parse_tree(ts, sig, {})
-    if ts.peek() is not None:
-        raise ParseError(f"trailing input {ts.peek()!r}", ts.pos())
+    """Parse the text format against a root signature, in one loop over the
+    tokens. Each distinct subtree is built once, so equal subtrees of the
+    result are one object, and a subtree whose text was parsed before under
+    the same signature is looked up, not parsed again. If a fragment is
+    given, the result is validated and an invalid tree raises TreeError."""
+    ts = _TokenStream(text)
+    toks = ts.tokens
+    close, span = _spans(toks)
+    # keys hold a signature by id, as one call meets one per binding depth
+    nodes: dict = {}  # (signature id, children) -> node
+    done: dict = {}  # (signature id, span id) -> the node parsed from that span
+    edges: dict = {}  # (kind, arg) -> Edge
+    stack: list = []  # open nodes, innermost last: [signature, "(" index, branch?, children]
+    i = 0
+    while True:
+        tok = toks[i]
+        if tok == "(" and (node := done.get((id(sig), span.get(i)))) is None:
+            branch = toks[i + 1] == "branch"
+            if branch and toks[i + 2] != "(":
+                ts.fail("branch needs at least one edge", i + 2)
+            stack.append([sig, i, branch, []])
+            i += 3 if branch else 1
+        else:
+            if tok == "(":
+                i = close[i] + 1
+            elif tok == "leaf":
+                i += 1
+                key = (id(sig), ())
+                node = nodes.get(key) or nodes.setdefault(key, GameboardTree(sig, ()))
+            else:
+                ts.fail(f"expected 'leaf' or '(', found {tok!r}", i)
+            while stack:  # `node` is the child of the innermost open node's last edge
+                sig, start, branch, children = stack[-1]
+                children[-1] = (children[-1], node)
+                if toks[i] != ")":
+                    ts.fail(f"expected ')', found {toks[i]!r}", i)
+                if branch and toks[i + 1] == "(":
+                    i += 2
+                    break
+                if branch and toks[i + 1] != ")":
+                    ts.fail(f"expected ')', found {toks[i + 1]!r}", i + 1)
+                i += 2 if branch else 1
+                stack.pop()
+                key = (id(sig), tuple(children))
+                node = nodes.get(key) or nodes.setdefault(key, GameboardTree(sig, key[1]))
+                if close.get(start) == i - 1:  # parsed cleanly, up to its ")"
+                    done[id(sig), span[start]] = node
+            else:
+                break
+        # an edge of the innermost open node starts at token i: its label
+        # waits in the node's children for its child
+        kind = toks[i]
+        ts.i = i + 1
+        if kind == "at":
+            arg = ts.ident("nominal or variable")
+        elif kind == "dia":
+            arg = _parse_act_union(ts, sig, _ALL_ACTIONS)
+        elif kind in KINDS:
+            arg = None
+        else:
+            ts.i = i
+            ts.ident("edge kind")
+            ts.fail(f"unknown edge kind {kind!r}", i)
+        i = ts.i
+        stack[-1][3].append(edges.get((kind, arg)) or edges.setdefault((kind, arg), Edge(kind, arg)))
+        sig = child_signature(sig, kind)
+    if toks[i] is not None:
+        ts.fail(f"trailing input {toks[i]!r}", i)
     if frag is not None:
-        report = validate_tree(tr, frag)
+        report = validate_tree(node, frag)
         if not report.ok:
             raise TreeError(f"invalid tree: {report}")
-    return tr
+    return node
 
 
 _ALL_ACTIONS = FragmentConfig.full()
 
 
-def _parse_tree(ts: _TokenStream, sig: Signature, built: dict) -> GameboardTree:
-    """`built` maps each node parsed so far to itself. A node's children are
-    already shared, so a node equal to an earlier one matches it on its
-    signature and, by identity, on its children."""
-    tok = ts.peek()
-    if tok == "leaf":
-        ts.next()
-        children = ()
-    elif tok != "(":
-        raise ParseError(f"expected 'leaf' or '(', found {tok!r}", ts.pos())
-    else:
-        ts.next()
-        if ts.peek() == "branch":
-            ts.next()
-            edges = []
-            while ts.peek() == "(":
-                ts.next()
-                edges.append(_parse_edge(ts, sig, built))
-                ts.expect(")")
-            if not edges:
-                raise ParseError("branch needs at least one edge", ts.pos())
-            children = tuple(edges)
+def _spans(toks: list) -> tuple[dict[int, int], dict[int, int]]:
+    """For each "(" with a matching ")": the index of that ")", and an id
+    that two such spans share iff their token texts are equal. A span's id
+    is that of its tokens with each inner span replaced by its id, so the
+    work is linear in the tokens."""
+    close: dict[int, int] = {}
+    span: dict[int, int] = {}
+    ids: dict[tuple, int] = {}
+    opened: list = []
+    items: list = []
+    for j, t in enumerate(toks):
+        if t == "(":
+            opened.append((j, items))
+            items = []
+        elif t == ")" and opened:
+            i, outer = opened.pop()
+            close[i] = j
+            span[i] = ids.setdefault(tuple(items), len(ids))
+            items = outer
+            items.append(span[i])
         else:
-            children = (_parse_edge(ts, sig, built),)
-        ts.expect(")")
-    node = GameboardTree(sig, children)
-    return built.setdefault(node, node)
-
-
-def _parse_edge(ts: _TokenStream, sig: Signature, built: dict) -> tuple[Edge, GameboardTree]:
-    pos = ts.pos()
-    kind = ts.ident("edge kind")
-    if kind not in KINDS:
-        raise ParseError(f"unknown edge kind {kind!r}", pos)
-    arg = None
-    if kind == "at":
-        arg = ts.ident("nominal or variable")
-    elif kind == "dia":
-        arg = _parse_act_union(ts, sig, _ALL_ACTIONS)
-    return Edge(kind, arg), _parse_tree(ts, child_signature(sig, kind), built)
+            items.append(t)
+    return close, span

@@ -27,6 +27,7 @@ import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterable
 
 OPS = ("diamond", "at", "store", "exists")
@@ -449,49 +450,47 @@ def _print(t: Action | Sentence, need: int) -> str:
 # Tokenizer (shared by the sentence, action and gameboard-tree parsers)
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-# group 1 is a token; a match outside it is a character no token starts with
+# group 1 is a token, and empty on a character no token starts with
 _TOKEN_RE = re.compile(rf"({_IDENT_RE.pattern}|[()<>\[\]~&|@.;+*])|\S")
 
 
-def tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        if m.lastindex is None:
-            raise ParseError(f"unexpected character {m.group()!r}", m.start())
-        tokens.append((m.group(), m.start()))
-    return tokens
-
-
 class _TokenStream:
-    def __init__(self, tokens: list[tuple[str, int]], length: int):
-        self.tokens = tokens
+    """The tokens of `text`, from one `findall`, then None. A token's
+    character offset is worked out only for an error; parsers mark a place
+    by its index `i`."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text)
+        if "" in self.tokens:  # a bad character anywhere wins over a syntax error
+            m = self._match(self.tokens.index(""))
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        self.tokens.append(None)
         self.i = 0
-        self.length = length
+
+    def _match(self, i: int) -> re.Match:
+        return next(islice(_TOKEN_RE.finditer(self.text), i, None))
+
+    def offset(self, i: int) -> int:
+        return self._match(i).start() if i < len(self.tokens) - 1 else len(self.text)
 
     def peek(self) -> str | None:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+        return self.tokens[self.i]
 
-    def pos(self) -> int:
-        return self.tokens[self.i][1] if self.i < len(self.tokens) else self.length
-
-    def next(self) -> str:
-        if self.i >= len(self.tokens):
-            raise ParseError("unexpected end of input", self.length)
-        tok = self.tokens[self.i][0]
-        self.i += 1
-        return tok
+    def fail(self, message: str, i: int | None = None):
+        raise ParseError(message, self.offset(self.i if i is None else i))
 
     def expect(self, tok: str):
-        got = self.peek()
-        if got != tok:
-            raise ParseError(f"expected {tok!r}, found {got!r}", self.pos())
-        self.next()
+        if self.peek() != tok:
+            self.fail(f"expected {tok!r}, found {self.peek()!r}")
+        self.i += 1
 
     def ident(self, what: str = "identifier") -> str:
         got = self.peek()
         if got is None or not _IDENT_RE.fullmatch(got):
-            raise ParseError(f"expected {what}, found {got!r}", self.pos())
-        return self.next()
+            self.fail(f"expected {what}, found {got!r}")
+        self.i += 1
+        return got
 
 
 # ---------------------------------------------------------------------------
@@ -499,20 +498,19 @@ class _TokenStream:
 
 
 def parse_action(text: str, sig: Signature, frag: FragmentConfig | None = None) -> Action:
-    ts = _TokenStream(tokenize(text), len(text))
+    ts = _TokenStream(text)
     a = _parse_act_union(ts, sig, frag or FragmentConfig.full())
     if ts.peek() is not None:
-        raise ParseError(f"trailing input {ts.peek()!r}", ts.pos())
+        ts.fail(f"trailing input {ts.peek()!r}")
     return a
 
 
 def _parse_act_union(ts, sig, frag) -> Action:
     a = _parse_act_comp(ts, sig, frag)
     while ts.peek() == "+":
-        pos = ts.pos()
-        ts.next()
         if "union" not in frag.action_ctors:
-            raise FragmentViolationError("union", pos)
+            raise FragmentViolationError("union", ts.offset(ts.i))
+        ts.i += 1
         a = Union(a, _parse_act_comp(ts, sig, frag))
     return a
 
@@ -520,10 +518,9 @@ def _parse_act_union(ts, sig, frag) -> Action:
 def _parse_act_comp(ts, sig, frag) -> Action:
     a = _parse_act_star(ts, sig, frag)
     while ts.peek() == ";":
-        pos = ts.pos()
-        ts.next()
         if "comp" not in frag.action_ctors:
-            raise FragmentViolationError("comp", pos)
+            raise FragmentViolationError("comp", ts.offset(ts.i))
+        ts.i += 1
         a = Comp(a, _parse_act_star(ts, sig, frag))
     return a
 
@@ -531,24 +528,23 @@ def _parse_act_comp(ts, sig, frag) -> Action:
 def _parse_act_star(ts, sig, frag) -> Action:
     a = _parse_act_atom(ts, sig, frag)
     while ts.peek() == "*":
-        pos = ts.pos()
-        ts.next()
         if "star" not in frag.action_ctors:
-            raise FragmentViolationError("star", pos)
+            raise FragmentViolationError("star", ts.offset(ts.i))
+        ts.i += 1
         a = Star(a)
     return a
 
 
 def _parse_act_atom(ts, sig, frag) -> Action:
     if ts.peek() == "(":
-        ts.next()
+        ts.i += 1
         a = _parse_act_union(ts, sig, frag)
         ts.expect(")")
         return a
-    pos = ts.pos()
+    i = ts.i
     name = ts.ident("relation name")
     if name not in sig.relations:
-        raise UndeclaredSymbolError(name, pos)
+        raise UndeclaredSymbolError(name, ts.offset(i))
     return Rel(name)
 
 
@@ -556,115 +552,93 @@ def parse_sentence(text: str, sig: Signature, frag: FragmentConfig | None = None
     """Parse the surface syntax into a term, checking symbol declarations and
     fragment gating as the text is consumed."""
     frag = frag or FragmentConfig.full()
-    ts = _TokenStream(tokenize(text), len(text))
+    ts = _TokenStream(text)
     s = _parse_or(ts, sig, frag)
     if ts.peek() is not None:
-        raise ParseError(f"trailing input {ts.peek()!r}", ts.pos())
+        ts.fail(f"trailing input {ts.peek()!r}")
     return s
 
 
 def _parse_or(ts, sig, frag) -> Sentence:
     items = [_parse_and(ts, sig, frag)]
     while ts.peek() == "|":
-        ts.next()
+        ts.i += 1
         items.append(_parse_and(ts, sig, frag))
-    if len(items) == 1:
-        return items[0]
-    return disj(items)
+    return items[0] if len(items) == 1 else disj(items)
 
 
 def _parse_and(ts, sig, frag) -> Sentence:
     items = [_parse_prefix(ts, sig, frag)]
     while ts.peek() == "&":
-        ts.next()
+        ts.i += 1
         items.append(_parse_prefix(ts, sig, frag))
-    if len(items) == 1:
-        return items[0]
-    return conj(items)
+    return items[0] if len(items) == 1 else conj(items)
 
 
 def _parse_binder_var(ts, sig) -> str:
-    pos = ts.pos()
+    i = ts.i
     var = ts.ident("variable name")
     if var in _KEYWORDS:
-        raise ParseError(f"keyword {var!r} cannot name a variable", pos)
+        ts.fail(f"keyword {var!r} cannot name a variable", i)
     if var in sig.all_names():
-        raise ParseError(f"variable {var!r} collides with a symbol in scope", pos)
+        ts.fail(f"variable {var!r} collides with a symbol in scope", i)
     ts.expect(".")
     return var
 
 
+# each binder keyword: the operator it needs, and what it builds
+_BINDERS = {"down": ("store", Store), "exists": ("exists", Exists), "forall": ("exists", forall)}
+
+
 def _parse_prefix(ts, sig, frag) -> Sentence:
     tok = ts.peek()
-    pos = ts.pos()
+    i = ts.i
     if tok is None:
-        raise ParseError("unexpected end of input", ts.pos())
+        ts.fail("unexpected end of input")
     if tok == "(":
-        ts.next()
+        ts.i += 1
         s = _parse_or(ts, sig, frag)
         ts.expect(")")
         return s
     if tok == "~":
-        ts.next()
+        ts.i += 1
         return Neg(_parse_prefix(ts, sig, frag))
-    if tok == "<":
-        ts.next()
+    if tok == "<" or tok == "[":
+        ts.i += 1
         if "diamond" not in frag.ops:
-            raise FragmentViolationError("diamond", pos)
+            raise FragmentViolationError("diamond", ts.offset(i))
         a = _parse_act_union(ts, sig, frag)
-        ts.expect(">")
-        return Dia(a, _parse_prefix(ts, sig, frag))
-    if tok == "[":
-        ts.next()
-        if "diamond" not in frag.ops:
-            raise FragmentViolationError("diamond", pos)
-        a = _parse_act_union(ts, sig, frag)
-        ts.expect("]")
-        return box(a, _parse_prefix(ts, sig, frag))
+        ts.expect(">" if tok == "<" else "]")
+        return (Dia if tok == "<" else box)(a, _parse_prefix(ts, sig, frag))
     if tok == "@":
-        ts.next()
+        ts.i += 1
         if "at" not in frag.ops:
-            raise FragmentViolationError("at", pos)
-        name_pos = ts.pos()
+            raise FragmentViolationError("at", ts.offset(i))
         name = ts.ident("nominal or variable")
         if name not in sig.point_names():
-            raise UndeclaredSymbolError(name, name_pos)
+            raise UndeclaredSymbolError(name, ts.offset(ts.i - 1))
         return At(name, _parse_prefix(ts, sig, frag))
-    if tok == "down":
-        ts.next()
-        if "store" not in frag.ops:
-            raise FragmentViolationError("store", pos)
+    if tok in _BINDERS:
+        op, make = _BINDERS[tok]
+        ts.i += 1
+        if op not in frag.ops:
+            raise FragmentViolationError(op, ts.offset(i))
         var = _parse_binder_var(ts, sig)
-        body = _parse_prefix(ts, extend_signature_with(sig, var), frag)
-        return Store(var, body)
-    if tok == "exists":
-        ts.next()
-        if "exists" not in frag.ops:
-            raise FragmentViolationError("exists", pos)
-        var = _parse_binder_var(ts, sig)
-        body = _parse_prefix(ts, extend_signature_with(sig, var), frag)
-        return Exists(var, body)
-    if tok == "forall":
-        ts.next()
-        if "exists" not in frag.ops:
-            raise FragmentViolationError("exists", pos)
-        var = _parse_binder_var(ts, sig)
-        body = _parse_prefix(ts, extend_signature_with(sig, var), frag)
-        return forall(var, body)
+        return make(var, _parse_prefix(ts, extend_signature_with(sig, var), frag))
     if tok == "true":
-        ts.next()
+        ts.i += 1
         return TRUE
     if tok == "false":
-        ts.next()
+        ts.i += 1
         return FALSE
     if _IDENT_RE.fullmatch(tok):
-        ts.next()
+        ts.i += 1
         if tok in sig.props:
             return Prop(tok)
         if tok in sig.point_names():
             return Nom(tok)
-        raise UndeclaredSymbolError(tok, pos)
-    raise ParseError(f"unexpected token {tok!r}", pos)
+        raise UndeclaredSymbolError(tok, ts.offset(i))
+    ts.fail(f"unexpected token {tok!r}", i)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Helpers the tests share that the library itself never calls: symbol
 renamings of sentences and models, rooted random models, and occurrence
-counts of gameboard trees."""
+counts and pruning of gameboard trees."""
 
 import random
 
-from hdpl.gameboard import GameboardTree
+from hdpl.gameboard import GameboardTree, leaf
 from hdpl.kripke import KripkeModel, ModelError, PointedModel, generate_random_model, is_rooted
 from hdpl.syntax import (
     Action,
@@ -110,3 +110,13 @@ def tree_height(tr: GameboardTree) -> int:
 
 def count_nodes(tr: GameboardTree) -> int:
     return 1 + sum(count_nodes(child) for _, child in tr.children)
+
+
+def prune_to_height(tr: GameboardTree, height: int) -> GameboardTree:
+    """The tree cut off at `height`, rebuilt with one object per occurrence."""
+    if height <= 0:
+        return leaf(tr.sig)
+    return GameboardTree(
+        tr.sig,
+        tuple((label, prune_to_height(child, height - 1)) for label, child in tr.children),
+    )

@@ -16,7 +16,7 @@ from hdpl.corpus import (
     random_tree,
     small_signature,
 )
-from hdpl.gameboard import parse_tree, prune_to_height
+from hdpl.gameboard import parse_tree
 from hdpl.games import (
     char_formula,
     ef_solve,
@@ -42,7 +42,7 @@ from hdpl.omega import (
 from hdpl.seqgame import seq_survives
 from hdpl.syntax import FragmentConfig, Rel, Signature, parse_sentence
 
-from support import generate_random_rooted_model
+from support import generate_random_rooted_model, prune_to_height
 from test_omega import identity_family
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import zlib
 
 import pytest
 
@@ -50,7 +51,7 @@ class TestSatisfiesExamples:
 class TestAgainstNaiveOracle:
     @pytest.mark.parametrize("frag", FRAGMENTS, ids=lambda f: f.describe())
     def test_random_corpus_agreement(self, frag):
-        rng = random.Random(hash(frag.describe()) & 0xFFFF)
+        rng = random.Random(zlib.crc32(frag.describe().encode()))
         for _ in range(60):
             sig = small_signature(rng)
             s = random_sentence(rng, sig, frag)

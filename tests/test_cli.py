@@ -158,6 +158,13 @@ class TestTree:
         assert code == 1
         assert "duplicate" in out
 
+    def test_validate_deep_chain_exit_zero(self, demo_dir, tmp_path, capsys):
+        # the tree parser and validation loop instead of recursing
+        path = tmp_path / "deep.txt"
+        path.write_text("(idle " * 10000 + "leaf" + ")" * 10000)
+        code, out = run(capsys, "tree", "--validate", "--tree", str(path), "--sig", str(demo_dir / "sig_p.json"))
+        assert (code, out.strip()) == (0, "ok")
+
 
 class TestOmegaCommands:
     def test_omega_verdicts(self, demo_dir, capsys):

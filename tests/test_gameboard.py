@@ -1,4 +1,6 @@
+import hashlib
 import random
+import re
 
 import pytest
 
@@ -12,12 +14,11 @@ from hdpl.gameboard import (
     leaf,
     parse_tree,
     print_tree,
-    prune_to_height,
     validate_tree,
 )
 from hdpl.kripke import generate_random_model
 from hdpl.syntax import Comp, FragmentConfig, ParseError, Rel, Signature, Star, Union, extend_signature
-from support import count_nodes, tree_height
+from support import count_nodes, prune_to_height, tree_height
 
 SIG = fx.SIG_P
 FULL = FragmentConfig.full()
@@ -270,6 +271,112 @@ class TestTextFormat:
             parse_tree("(down leaf)", SIG, frag({"diamond"}))
 
 
+def outcome(text, sig, f=None):
+    """The printed tree, or the error's type and message."""
+    try:
+        return print_tree(parse_tree(text, sig, f))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# every error path of the tree parser, with the message and position it gave
+# when the parser was recursive
+PARSER_ERRORS = [
+    ("", "ParseError: expected 'leaf' or '(', found None (at position 0)"),
+    ("(idle leaf", "ParseError: expected ')', found None (at position 10)"),
+    ("(idle (idle (idle leaf)", "ParseError: expected ')', found None (at position 23)"),
+    ("(idle leaf) leaf", "ParseError: trailing input 'leaf' (at position 12)"),
+    ("(idle leaf))", "ParseError: trailing input ')' (at position 11)"),
+    ("leaf leaf", "ParseError: trailing input 'leaf' (at position 5)"),
+    ("(branch)", "ParseError: branch needs at least one edge (at position 7)"),
+    ("(walk leaf)", "ParseError: unknown edge kind 'walk' (at position 1)"),
+    ("(branch (idle leaf) (walk leaf))", "ParseError: unknown edge kind 'walk' (at position 21)"),
+    ("(idle (+ leaf))", "ParseError: expected edge kind, found '+' (at position 7)"),
+    ("(at ( leaf)", "ParseError: expected nominal or variable, found '(' (at position 4)"),
+    ("(branch (idle leaf)", "ParseError: expected ')', found None (at position 19)"),
+    ("(branch (idle leaf) leaf)", "ParseError: expected ')', found 'leaf' (at position 20)"),
+    ("(dia", "ParseError: expected relation name, found None (at position 4)"),
+    ("(dia (l+", "ParseError: expected relation name, found None (at position 8)"),
+    ("(dia (l", "ParseError: expected ')', found None (at position 7)"),
+    ("(dia l", "ParseError: expected 'leaf' or '(', found None (at position 6)"),
+    ("(dia l) leaf)", "ParseError: expected 'leaf' or '(', found ')' (at position 6)"),
+    ("(dia m leaf)", "UndeclaredSymbolError: undeclared symbol 'm' (at position 5)"),
+    ("(dia (l+m)* leaf)", "UndeclaredSymbolError: undeclared symbol 'm' (at position 8)"),
+    # a bad character anywhere wins over an earlier syntax error
+    ("((idle leaf)) $", "ParseError: unexpected character '$' (at position 14)"),
+    ("(walk leaf) (idle $", "ParseError: unexpected character '$' (at position 18)"),
+    ("(dia m leaf) $", "ParseError: unexpected character '$' (at position 13)"),
+    # an error inside the second copy of a repeated subtree
+    (
+        "(branch (idle (dia l leaf)) (idle (dia l leaf leaf)))",
+        "ParseError: expected ')', found 'leaf' (at position 46)",
+    ),
+    (
+        "(branch (idle (dia l leaf)) (dia l (dia l leaf) leaf))",
+        "ParseError: expected ')', found 'leaf' (at position 48)",
+    ),
+    (
+        "(branch (idle (dia l leaf)) (idle (dia l (dia m leaf))))",
+        "UndeclaredSymbolError: undeclared symbol 'm' (at position 46)",
+    ),
+]
+
+
+class TestParserErrors:
+    @pytest.mark.parametrize("f", [None, FULL], ids=["parse", "validate"])
+    @pytest.mark.parametrize("text, expected", PARSER_ERRORS)
+    def test_message_and_position(self, text, expected, f):
+        assert outcome(text, SIG, f) == expected
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            # one span text under two signatures: valid under the store edge only
+            (
+                "(branch (down (at x0 leaf)) (idle (at x0 leaf)))",
+                "TreeError: invalid tree: undeclared name 'x0' at root/1:idle/0:at x0",
+            ),
+            (
+                "(branch (idle (dia l leaf)) (idle (dia l leaf)))",
+                "TreeError: invalid tree: duplicate idle edge (same subtree) at root/1:idle",
+            ),
+        ],
+    )
+    def test_validation_of_a_repeated_subtree(self, text, expected):
+        assert outcome(text, SIG) == text
+        assert outcome(text, SIG, FULL) == expected
+
+
+# (count, sha256) of the texts and outcomes of 3,024 corpus tree texts with
+# one token deleted, duplicated or swapped with the next; recorded when the
+# parser was recursive
+MUTATION_DIGEST = (3024, "24b6681269fd758bb9c22c8e555326908d965a80e4daad27a4bd44dbc9873609")
+
+
+def test_mutated_tree_texts_unchanged():
+    digest, count = hashlib.sha256(), 0
+    rng = random.Random(4242)
+    for i in range(1008):
+        f = FRAGMENTS[i % len(FRAGMENTS)]
+        sig = small_signature(rng)
+        tokens = re.findall(r"[\w']+|\S", print_tree(random_tree(rng, sig, f, default_actions(f))))
+        for mutation in ("delete", "duplicate", "swap"):
+            t = list(tokens)
+            k = rng.randrange(len(t))
+            if mutation == "delete":
+                del t[k]
+            elif mutation == "duplicate":
+                t.insert(k, t[k])
+            else:
+                t[k : k + 2] = reversed(t[k : k + 2])
+            text = " ".join(t)
+            # validated against every fragment in turn, or not at all
+            vf = FRAGMENTS[count % len(FRAGMENTS)] if count % 8 else None
+            digest.update(f"{text}\n{outcome(text, sig, vf)}\n".encode())
+            count += 1
+    assert (count, digest.hexdigest()) == MUTATION_DIGEST
+
+
 def occurrences(tr):
     yield tr
     for _, child in tr.children:
@@ -320,6 +427,22 @@ class TestSharing:
         with pytest.raises(TreeError) as err:
             parse_tree("(branch (idle (dia l leaf)) (idle (dia l leaf)))", SIG, FULL)
         assert str(err.value) == "invalid tree: duplicate idle edge (same subtree) at root/1:idle"
+
+
+class TestDeepTrees:
+    def test_deep_idle_chain(self):
+        depth = 10000
+        tr = parse_tree("(idle " * depth + "leaf" + ")" * depth, SIG, FULL)
+        for _ in range(depth):
+            ((label, tr),) = tr.children
+            assert label == Edge("idle")
+        assert tr == leaf(SIG)
+
+    def test_problem_deep_in_a_chain(self):
+        depth = 10000
+        with pytest.raises(TreeError) as err:
+            parse_tree("(idle " * depth + "(down leaf)" + ")" * depth, SIG, frag({"diamond"}))
+        assert str(err.value) == "invalid tree: edge kind 'store' not enabled at root" + "/0:idle" * depth + "/0:down"
 
 
 class TestSignatureAnnotations:

@@ -21,7 +21,6 @@ from hdpl.gameboard import (
     leaf,
     parse_tree,
     print_tree,
-    prune_to_height,
 )
 from hdpl.games import (
     AbelardMove,
@@ -56,6 +55,7 @@ from hdpl.syntax import (
     parse_sentence,
     print_sentence,
 )
+from support import prune_to_height
 
 SIG = fx.SIG_P
 FULL = FragmentConfig.full()
