@@ -76,6 +76,20 @@ class GameboardTree:
     def __hash__(self):
         return self._hash
 
+    def __eq__(self, other):
+        """Structural equality, walked with a stack, each node pair once."""
+        if not isinstance(other, GameboardTree):
+            return NotImplemented
+        stack, seen = [(self, other)], set()
+        while stack:
+            a, b = stack.pop()
+            if a is not b and (id(a), id(b)) not in seen:
+                seen.add((id(a), id(b)))
+                if a._hash != b._hash or a.sig != b.sig or [e for e, _ in a.children] != [e for e, _ in b.children]:
+                    return False
+                stack += zip((child for _, child in a.children), (child for _, child in b.children))
+        return True
+
 
 def leaf(sig: Signature) -> GameboardTree:
     return GameboardTree(sig, ())

@@ -4,9 +4,12 @@ validation/extraction/shifting, basic partial isomorphisms and
 back-and-forth systems, and the image-finite / rooted-model report harnesses.
 
 Arena positions abstract the two players' naming histories into a set of
-named state correspondences plus the current pair; the safety condition is
-basic-sentence agreement of the current pair together with consistency
-against every named correspondence.
+named state correspondences plus the current pair, coded as one int: with
+the states numbered in name order, mask bit c names pair c, so named pairs
+are tried in sorted order and the search, its dead positions and the
+stabilization height are the same in every process. The safety condition,
+basic-sentence agreement of the current pair and consistency with every
+named pair, is one mask test. Results decode positions on iteration.
 
 Every solver moves along the base relations only, whatever constructors the
 fragment enables: a diamond move keeps the named correspondences, so a
@@ -17,6 +20,7 @@ position set closed under base moves is closed under `+`, `;` and `*` too
 from __future__ import annotations
 
 import itertools
+from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -43,7 +47,6 @@ from .syntax import (
 )
 
 Pair = tuple[str, str]
-Position = tuple[frozenset[Pair], Pair]
 
 
 class OmegaError(HdplError):
@@ -133,6 +136,11 @@ def _action_steps(frag: FragmentConfig, m: KripkeModel, n: KripkeModel) -> list[
 
 
 class _Arena:
+    """The safety game on int positions. Left state i and right state j, in
+    sorted-name order, form the pair c = i*|R| + j; a position is `mask << S
+    | c` with S = |L|*|R|, and mask bit c' names the pair c'. Tables, such as
+    `steps` per base relation, are built on first use."""
+
     def __init__(self, frag: FragmentConfig, m: KripkeModel, n: KripkeModel):
         if m.sig != n.sig:
             raise SignatureMismatchError("models must share a signature")
@@ -141,63 +149,115 @@ class _Arena:
         self.frag = frag
         self.m = m
         self.n = n
-        self.agree = basic_agreement(m, n)
-        self.nominal_pairs = [
-            (m.nominal_interp[k], n.nominal_interp[k]) for k in m.sig.nominals
-        ]
-        self.steps = _action_steps(frag, m, n)
+        self.left, self.right = sorted(m.states), sorted(n.states)
+        self.S = len(self.left) * len(self.right)
+        self.low = (1 << self.S) - 1
+        agree = basic_agreement(m, n)
+        self.agree = [agree[(w, v)] for w in self.left for v in self.right]
+        self.templates: list[list[list[int]] | None] = [None] * self.S  # diamond and @k reply pairs
+        nominals = m.sig.nominals if "at" in frag.ops else ()
+        self.targets = [[self.code(m.nominal_interp[k], n.nominal_interp[k])] for k in nominals]  # @k replies
 
-    def prop(self, pos: Position) -> bool:
-        pairs, (w, v) = pos
-        if not self.agree[(w, v)]:
-            return False
-        for a, b in pairs:
-            if (w == a) != (v == b):
-                return False
-        return True
+    def code(self, w: str, v: str) -> int:
+        return self.left.index(w) * len(self.right) + self.right.index(v)
 
-    def options(self, pos: Position):
-        """Yield, per challenger option, the list of positions the answering
-        player may choose among."""
-        pairs, (w, v) = pos
-        ops = self.frag.ops
-        for _, sl, sr in self.steps:
-            right_choices = sr[v]
-            for w2 in sl[w]:
-                yield [(pairs, (w2, v2)) for v2 in right_choices]
-            left_choices = sl[w]
-            for v2 in right_choices:
-                yield [(pairs, (w2, v2)) for w2 in left_choices]
+    def decode(self, pos: int) -> tuple[frozenset[Pair], Pair]:
+        width, mask, c = len(self.right), pos >> self.S, pos & self.low
+        named = frozenset((self.left[b // width], self.right[b % width]) for b in range(self.S) if mask >> b & 1)
+        return named, (self.left[c // width], self.right[c % width])
+
+    @cached_property
+    def steps(self) -> list[tuple[list[list[int]], list[list[int]]]]:
+        def table(model, names, r):  # per state, its successors' numbers in model order
+            pairs = model.relation_interp[r]
+            return [[names.index(x) for x in model.states if (s, x) in pairs] for s in names]
+
+        rels = self.m.sig.relations if "diamond" in self.frag.ops else ()
+        return [(table(self.m, self.left, r), table(self.n, self.right, r)) for r in rels]
+
+    @cached_property
+    def conflict(self) -> list[int]:
+        """Per pair, the mask bits of the pairs sharing exactly one side."""
+        width, S = len(self.right), self.S
+        col = sum(1 << (S + i * width) for i in range(len(self.left)))
+        return [((1 << width) - 1) << (S + i * width) ^ col << j for i in range(len(self.left)) for j in range(width)]
+
+    @cached_property
+    def naming(self) -> list[list[int]]:
+        """The bits of the exists options: per left, then per right state."""
+        rows = [self.left.index(w) * len(self.right) + self.S for w in self.m.states]
+        cols = [self.right.index(v) for v in self.n.states]
+        return [[1 << (i + j) for j in cols] for i in rows] + [[1 << (i + j) for i in rows] for j in cols]
+
+    def prop(self, pos: int) -> bool:
+        c = pos & self.low
+        return self.agree[c] and (pos == c or not pos & self.conflict[c])
+
+    def options(self, pos: int) -> list[list[int]]:
+        """Per challenger option, the list of positions the answering player
+        may choose among."""
+        c = pos & self.low
+        named, ops = pos ^ c, self.frag.ops
+        template = self.templates[c]
+        if template is None:
+            width, (i, j) = len(self.right), divmod(c, len(self.right))
+            template = []
+            for sl, sr in self.steps:
+                rows, right = [w2 * width for w2 in sl[i]], sr[j]
+                template += [[a + b for b in right] for a in rows] + [[a + b for a in rows] for b in right]
+            self.templates[c] = template = template + self.targets
+        options = [[named | r for r in replies] for replies in template] if named else template[:]
         if "at" in ops:
-            for target in self.nominal_pairs:
-                yield [(pairs, target)]
-            for target in sorted(pairs):
-                yield [(pairs, target)]
+            mask = pos >> self.S
+            while mask:  # the named pairs, in ascending code order
+                bit = mask & -mask
+                options.append([named | bit.bit_length() - 1])
+                mask ^= bit
         if "store" in ops:
-            yield [(pairs | {(w, v)}, (w, v))]
+            options.append([pos | 1 << (self.S + c)])
         if "exists" in ops:
-            for w1 in self.m.states:
-                yield [(pairs | {(w1, v1)}, (w, v)) for v1 in self.n.states]
-            for v1 in self.n.states:
-                yield [(pairs | {(w1, v1)}, (w, v)) for w1 in self.m.states]
+            options += [[pos | bit for bit in bits] for bits in self.naming]
+        return options
+
+
+class _Positions(Set):
+    """Int positions seen as (named pairs, current pair) of state names."""
+
+    def __init__(self, codes: set[int], arena: _Arena):
+        self.codes, self.arena = codes, arena
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __iter__(self):
+        return map(self.arena.decode, self.codes)
+
+    def __contains__(self, pos):
+        return pos in set(self)  # decodes every position
+
+    _from_iterable = staticmethod(set)  # set operations give plain sets
 
 
 @dataclass
 class OmegaResult:
     winner: str  # 'eloise' | 'abelard'
-    init: Position
-    safe: set[Position] | None
-    dead: set[Position]  # each has an option with no surviving answer, or is a violating start
+    start: int  # the start position
+    safe: _Positions | None
+    dead: _Positions  # each has an option with no surviving answer, or is a violating start
     runs: int  # restarts + 1
     _arena: _Arena = field(repr=False)
     # (position, depth) -> can the survivor last depth rounds; shared by all ranks
-    _memo: dict[tuple[Position, int], bool] = field(default_factory=dict, repr=False)
+    _memo: dict[tuple[int, int], bool] = field(default_factory=dict, repr=False)
 
     @property
     def eloise_wins(self) -> bool:
         return self.winner == "eloise"
 
-    def _rank(self, pos: Position, limit: int | None = None) -> int | None:
+    @property
+    def init(self) -> tuple[frozenset[Pair], Pair]:
+        return self._arena.decode(self.start)
+
+    def _rank(self, pos: int, limit: int | None = None) -> int | None:
         """The first depth below `limit` at which the survivor cannot last
         from `pos`: the challenger's exact rounds-to-violation. None when
         every depth below `limit` survives."""
@@ -209,7 +269,7 @@ class OmegaResult:
         violation; None on a survivor win."""
         if self.winner != "abelard":
             return None
-        return self._rank(self.init)
+        return self._rank(self.start)
 
     def stabilization_height(self, cap: int = 8) -> int:
         """The tree height at which verdicts stop changing, capped at `cap`:
@@ -218,7 +278,7 @@ class OmegaResult:
         if self.winner == "abelard":
             return max(1, min(self.loss_rank(), cap))
         height = 1
-        for pos in self.dead:
+        for pos in self.dead.codes:
             if height >= cap:
                 break
             rank = self._rank(pos, cap - 1)
@@ -241,21 +301,21 @@ def omega_solve(frag: FragmentConfig, left: PointedModel, right: PointedModel) -
     answering player's strategy and hence genuinely safe.
     """
     arena = _Arena(frag, left.model, right.model)
-    init: Position = (frozenset(), (left.current, right.current))
+    init = arena.code(left.current, right.current)
     if not arena.prop(init):
-        return OmegaResult("abelard", init, None, {init}, 1, arena)
-    dead: set[Position] = set()
+        return OmegaResult("abelard", init, None, _Positions({init}, arena), 1, arena)
+    dead: set[int] = set()
     runs = 0
     while init not in dead:
         runs += 1
         before = len(dead)
         safe = _attempt(arena, init, dead)
         if len(dead) == before:
-            return OmegaResult("eloise", init, safe, dead, runs, arena)
-    return OmegaResult("abelard", init, None, dead, runs, arena)
+            return OmegaResult("eloise", init, _Positions(safe, arena), _Positions(dead, arena), runs, arena)
+    return OmegaResult("abelard", init, None, _Positions(dead, arena), runs, arena)
 
 
-def _attempt(arena: _Arena, init: Position, dead: set[Position]) -> set[Position]:
+def _attempt(arena: _Arena, init: int, dead: set[int]) -> set[int]:
     """One optimistic depth-first certification pass from the property-holding
     position `init`; adds its disproofs to `dead` and returns the positions
     it certified.
@@ -267,7 +327,7 @@ def _attempt(arena: _Arena, init: Position, dead: set[Position]) -> set[Position
     finds it in `live` (certified) or in `dead`.
     """
     live = {init}
-    stack: list[list] = [[init, list(arena.options(init)), 0, 0]]
+    stack: list[list] = [[init, arena.options(init), 0, 0]]
     while stack:
         f = stack[-1]
         pos, options, i, j = f
@@ -286,11 +346,11 @@ def _attempt(arena: _Arena, init: Position, dead: set[Position]) -> set[Position
                 f[3] += 1  # not an answer; on to the next reply
             else:
                 live.add(r)
-                stack.append([r, list(arena.options(r)), 0, 0])
+                stack.append([r, arena.options(r), 0, 0])
     return live
 
 
-def _bounded_survive(arena: _Arena, pos: Position, depth: int, memo: dict) -> bool:
+def _bounded_survive(arena: _Arena, pos: int, depth: int, memo: dict) -> bool:
     """Can the survivor last `depth` rounds from `pos`? Plain bounded-depth
     game search on arena positions, memoized on (position, depth)."""
     key = (pos, depth)

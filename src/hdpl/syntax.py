@@ -96,12 +96,18 @@ class Signature:
 
     @cached_property
     def _extension(self) -> tuple["Signature", str]:
-        n = len(self.bound_vars)
-        taken = self.all_names()
+        # the names to avoid, inherited: an extension leaves out its own x{n}
+        # when n was its first try, as the searches below it start past n
+        taken = self.__dict__.get("_taken") or self.all_names()
+        n = first = len(self.bound_vars)
         while f"x{n}" in taken:
             n += 1
         var = f"x{n}"
-        return Signature(self.nominals, self.relations, self.props, self.bound_vars + (var,)), var
+        if n > first:
+            taken = taken | {var}
+        ext = object.__new__(Signature)  # var is fresh: no disjointness check
+        ext.__dict__.update(vars(self), bound_vars=self.bound_vars + (var,), _taken=taken)
+        return ext, var
 
     @classmethod
     def from_dict(cls, d: dict) -> "Signature":

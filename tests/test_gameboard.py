@@ -438,6 +438,32 @@ class TestDeepTrees:
             assert label == Edge("idle")
         assert tr == leaf(SIG)
 
+    def test_deep_chains_compare(self):
+        # equal chains from separate parses share no node, so == walks them
+        depth = 10000
+        chain = "(idle " * depth + "{}" + ")" * depth
+        a, b = parse_tree(chain.format("leaf"), SIG), parse_tree(chain.format("leaf"), SIG)
+        assert a is not b and a == b and hash(a) == hash(b)
+        c = parse_tree(chain.format("(dia l leaf)"), SIG)
+        assert a != c and c != a and c == parse_tree(chain.format("(dia l leaf)"), SIG)
+
+    def test_deep_chains_differing_at_the_bottom_compare_unequal_by_structure(self):
+        # with every cached hash forced equal, the walk itself must reach the
+        # bottom edge, whose labels differ
+        def chain(action):
+            node = GameboardTree(SIG, ((Edge("dia", action), leaf(SIG)),))
+            for _ in range(10000):
+                node = GameboardTree(SIG, ((Edge("idle"), node),))
+            nodes = [node]
+            while nodes:
+                n = nodes.pop()
+                object.__setattr__(n, "_hash", 0)
+                nodes.extend(child for _, child in n.children)
+            return node
+
+        assert chain(Rel("l")) == chain(Rel("l"))
+        assert chain(Rel("l")) != chain(Star(Rel("l")))
+
     def test_problem_deep_in_a_chain(self):
         depth = 10000
         with pytest.raises(TreeError) as err:

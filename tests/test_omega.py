@@ -153,7 +153,9 @@ class TestOmegaSolve:
             "for _ in range(40):\n"
             "    m = generate_random_model(rng.randrange(2**30), 5, rng.uniform(0.3, 0.8), sig)\n"
             "    pm = PointedModel(m, rng.choice(m.states))\n"
-            "    print(len(omega_solve(f, pm, pm).dead))\n"
+            "    res = omega_solve(f, pm, pm)\n"
+            "    dead = sorted((sorted(named), pair) for named, pair in res.dead)\n"
+            "    print(dead, res.loss_rank(), res.stabilization_height())\n"
         )
         src = str(Path(hdpl.__file__).parents[1])
         outs = [
@@ -164,7 +166,7 @@ class TestOmegaSolve:
             ).stdout
             for seed in ("0", "1")
         ]
-        assert outs[0] == outs[1] and len(outs[0].split()) == 40
+        assert outs[0] == outs[1] and len(outs[0].splitlines()) == 40
 
     def test_variable_free_start_required(self):
         from hdpl.kripke import expand
@@ -425,11 +427,23 @@ def closure_arena(f, m, n):
     the constructors-on alphabet, which no solver reads."""
     arena = _Arena(f, m, n)
     if arena.steps:
+
+        def table(succ, states):
+            return [tuple(map(states.index, succ[s])) for s in states]
+
         arena.steps = [
-            (ap.term, successor_map(ap.left, m.states), successor_map(ap.right, n.states))
+            (
+                table(successor_map(ap.left, m.states), arena.left),
+                table(successor_map(ap.right, n.states), arena.right),
+            )
             for ap in action_pair_closure(m, n, f.action_ctors)
         ]
     return arena
+
+
+def all_positions(arena):
+    """Every int position: each mask of named pairs with each current pair."""
+    return [mask << arena.S | c for mask in range(1 << arena.S) for c in range(arena.S)]
 
 
 def brute_force_safety_verdict(f, left, right, arena=None) -> bool:
@@ -439,14 +453,7 @@ def brute_force_safety_verdict(f, left, right, arena=None) -> bool:
     tiniest models."""
     if arena is None:
         arena = _Arena(f, left.model, right.model)
-    all_pairs = [(w, v) for w in left.model.states for v in right.model.states]
-    positions = [
-        (frozenset(sub), cur)
-        for r in range(len(all_pairs) + 1)
-        for sub in itertools.combinations(all_pairs, r)
-        for cur in all_pairs
-    ]
-    safe = {p for p in positions if arena.prop(p)}
+    safe = {p for p in all_positions(arena) if arena.prop(p)}
     changed = True
     while changed:
         changed = False
@@ -454,7 +461,93 @@ def brute_force_safety_verdict(f, left, right, arena=None) -> bool:
             if any(not any(r in safe for r in replies) for replies in arena.options(p)):
                 safe.discard(p)
                 changed = True
-    return (frozenset(), (left.current, right.current)) in safe
+    return arena.code(left.current, right.current) in safe
+
+
+def reference_prop(m, n, pos) -> bool:
+    """The safety property on a (named pairs, current pair) position: the
+    current pair agrees on every proposition and nominal, and names the
+    same state as a named pair on one side exactly when on the other."""
+    named, (w, v) = pos
+    basic = m.valuation[w] == n.valuation[v] and all(
+        (m.nominal_interp[k] == w) == (n.nominal_interp[k] == v) for k in m.sig.nominals
+    )
+    return basic and all((w == a) == (v == b) for a, b in named)
+
+
+def reference_options(f, m, n, pos):
+    """The challenger's options at a (named pairs, current pair) position, each
+    the list of the survivor's replies, in the solver's search order: per
+    relation the left then the right diamond moves, `@k` per nominal, `@`
+    each named pair in sorted order, store, then exists on the left per left
+    state and on the right per right state; states in model order."""
+    named, (w, v) = pos
+    options = []
+    if "diamond" in f.ops:
+        for r in m.sig.relations:
+            left = [x for x in m.states if (w, x) in m.relation_interp[r]]
+            right = [y for y in n.states if (v, y) in n.relation_interp[r]]
+            options += [[(named, (x, y)) for y in right] for x in left]
+            options += [[(named, (x, y)) for x in left] for y in right]
+    if "at" in f.ops:
+        options += [[(named, (m.nominal_interp[k], n.nominal_interp[k]))] for k in m.sig.nominals]
+        options += [[(named, pair)] for pair in sorted(named)]
+    if "store" in f.ops:
+        options.append([(named | {(w, v)}, (w, v))])
+    if "exists" in f.ops:
+        options += [[(named | {(a, b)}, (w, v)) for b in n.states] for a in m.states]
+        options += [[(named | {(a, b)}, (w, v)) for a in m.states] for b in n.states]
+    return options
+
+
+class TestIntArena:
+    @pytest.mark.parametrize("f", FRAGMENTS, ids=lambda f: f.describe())
+    def test_every_position_matches_the_tuple_rules(self, f):
+        # states are numbered in sorted-name order: pair c is (L[c // |R|],
+        # R[c % |R|]) and mask bit c' names the pair c'
+        rng = random.Random(f"encoding:{f.describe()}")
+        drawn = largest = 0
+        while drawn < 6 or largest < 9:  # six pairs, at least one of them 3x3
+            m, n = random_model_pair(rng, small_signature(rng), max_states=3)
+            if drawn % 2:  # list the states out of name order
+                m, n = (
+                    KripkeModel(x.sig, x.states[::-1], x.nominal_interp, x.relation_interp, x.valuation) for x in (m, n)
+                )
+            arena = _Arena(f, m, n)
+            left, right = sorted(m.states), sorted(n.states)
+            S = len(left) * len(right)
+
+            def pair(c):
+                return left[c // len(right)], right[c % len(right)]
+
+            for pos in all_positions(arena):
+                mask, c = pos >> S, pos % (1 << S)
+                expected = frozenset(pair(b) for b in range(S) if mask >> b & 1), pair(c)
+                assert arena.decode(pos) == expected
+                assert arena.prop(pos) == reference_prop(m, n, expected)
+                replies = [[arena.decode(r) for r in option] for option in arena.options(pos)]
+                assert replies == reference_options(f, m, n, expected)
+            drawn, largest = drawn + 1, max(largest, S)
+
+    def test_decoded_views(self):
+        rng = random.Random(86)
+        seen = set()
+        for f in FRAGMENTS:
+            for _ in range(10):
+                m, n = random_model_pair(rng, small_signature(rng), max_states=3)
+                res = omega_solve(f, PointedModel(m, rng.choice(m.states)), PointedModel(n, rng.choice(n.states)))
+                decode = res._arena.decode
+                assert res.init == decode(res.start) and not res.init[0]
+                assert (res.safe is None) == (res.winner == "abelard")
+                for view in (res.dead, res.safe or res.dead):
+                    decoded = {decode(pos) for pos in view.codes}
+                    assert len(view) == len(view.codes) == len(decoded)
+                    assert view == decoded and set(view) == decoded
+                    assert view - {res.init} == decoded - {res.init}
+                    assert all(pos in view for pos in decoded)
+                    assert (frozenset({("nowhere", "nowhere")}), res.init[1]) not in view
+                    seen.add(res.winner)
+        assert seen == {"eloise", "abelard"}
 
 
 def solved_sample(f, count=40):
@@ -477,9 +570,9 @@ class TestInvariants:
         checked = 0
         for res in solved_sample(f):
             prop = res._arena.prop
-            if not prop(res.init):
-                assert res.dead == {res.init} and res.runs == 1
-            disproven = res.dead - {res.init}
+            if not prop(res.start):
+                assert res.dead.codes == {res.start} and res.runs == 1
+            disproven = res.dead.codes - {res.start}
             assert all(prop(pos) for pos in disproven)
             checked += len(disproven)
         assert checked > 0
@@ -491,10 +584,10 @@ class TestInvariants:
             if not res.eloise_wins:
                 continue
             arena = res._arena
-            assert res.init in res.safe
-            for pos in res.safe:
+            assert res.start in res.safe.codes
+            for pos in res.safe.codes:
                 assert arena.prop(pos)
-                assert all(any(r in res.safe for r in replies) for replies in arena.options(pos))
+                assert all(any(r in res.safe.codes for r in replies) for replies in arena.options(pos))
             wins += 1
         assert wins > 0
 
@@ -579,10 +672,11 @@ class TestInvariants:
                 m, n = random_model_pair(rng, sig, max_states=3)
                 res = omega_solve(f, PointedModel(m, rng.choice(m.states)), PointedModel(n, rng.choice(n.states)))
                 res.loss_rank()  # fills the shared memo first when the game is lost
-                for pairs, (w, v) in res.dead:
-                    if pairs:
+                for pos in res.dead.codes:
+                    named, (w, v) = res._arena.decode(pos)
+                    if named:
                         continue
-                    rank = res._rank((pairs, (w, v)))
+                    rank = res._rank(pos)
                     survives = [seq_survives(f, PointedModel(m, w), PointedModel(n, v), d) for d in range(rank + 1)]
                     assert survives == [True] * rank + [False]
                     checked += 1

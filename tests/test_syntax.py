@@ -37,6 +37,7 @@ from hdpl.syntax import (
     disj,
     forall,
     extend_signature,
+    extend_signature_with,
     parse_action,
     parse_sentence,
     print_action,
@@ -171,6 +172,34 @@ class TestSignature:
         assert len(sig.bound_vars) == 5
         assert len(set(seen)) == 5
         assert not set(seen) & set(SIG.all_names())
+
+    def test_extension_chains_match_rebuilt_pools(self):
+        # an extension checks its fresh name against pools it inherits, not
+        # rebuilt ones: the name is still the first x{n}, n >= the number of
+        # bound variables, that no pool holds, and the result equals the
+        # publicly constructed (and so checked) signature
+        rng = random.Random(14)
+        for _ in range(200):
+            sig = Signature(relations=("l",), props=tuple(f"x{k}" for k in rng.sample(range(12), 3)))
+            for _ in range(10):
+                if rng.random() < 0.2:
+                    name = f"x{rng.randrange(12)}"
+                    if name not in sig.all_names():
+                        sig = extend_signature_with(sig, name)
+                    continue
+                n = len(sig.bound_vars)
+                while f"x{n}" in sig.all_names():
+                    n += 1
+                ext, v = extend_signature(sig)
+                assert v == f"x{n}"
+                assert ext == Signature(sig.nominals, sig.relations, sig.props, sig.bound_vars + (v,))
+                sig = ext
+
+    def test_overlapping_bound_variables_rejected(self):
+        with pytest.raises(SignatureError):
+            Signature(props=("x0",), bound_vars=("x0",))
+        with pytest.raises(SignatureError):
+            extend_signature_with(extend_signature(SIG)[0], "x0")
 
     def test_from_dict_round_trip(self):
         assert Signature.from_dict(SIG.to_dict()) == SIG
