@@ -233,7 +233,12 @@ class _Positions(Set):
         return map(self.arena.decode, self.codes)
 
     def __contains__(self, pos):
-        return pos in set(self)  # decodes every position
+        try:  # encode the query; only a well-formed one decodes back to itself
+            named, (w, v) = pos
+            code = self.arena.code(w, v) | sum(1 << self.arena.S + self.arena.code(a, b) for a, b in named)
+        except (TypeError, ValueError):
+            return False
+        return code in self.codes and self.arena.decode(code) == pos
 
     _from_iterable = staticmethod(set)  # set operations give plain sets
 
@@ -615,8 +620,12 @@ def max_back_and_forth(frag: FragmentConfig, m: KripkeModel, n: KripkeModel) -> 
     unmapped. A clause on a map is met by the map itself or by a one-step
     extension, whose code adds (u+1) * base**i and so is larger. One pass in
     decreasing code order thus decides each map once, against survivors
-    already decided. A sum that maps two states to u codes no enumerated
-    map, so it is never a survivor."""
+    already decided. Only partial isomorphisms are enumerated: left states
+    are assigned from the highest index down, skipping (with its subtree) a
+    pair that breaks a relation against itself or a pair assigned above it,
+    as every extension breaks it too and none could survive. A sum that maps
+    two states to u, or breaks a relation, codes no enumerated map, so it is
+    never a survivor."""
     if m.sig != n.sig:
         raise SignatureMismatchError("models must share a signature")
     left, right = m.states, n.states
@@ -651,8 +660,14 @@ def max_back_and_forth(frag: FragmentConfig, m: KripkeModel, n: KripkeModel) -> 
                 alive.add(code)
             return
         for u in reversed(partners[i]):
-            if inv[u] < 0:
-                img[i], inv[u] = u, i
+            if inv[u] >= 0:
+                continue
+            img[i] = u
+            for sl, sr in steps:  # a clash prunes the subtree: only partial isomorphisms are visited
+                if _clashes(i, img, sl, sr):
+                    break
+            else:
+                inv[u] = i
                 visit(i - 1, code + (u + 1) * weight[i])
                 inv[u] = -1
         img[i] = -1
@@ -660,6 +675,17 @@ def max_back_and_forth(frag: FragmentConfig, m: KripkeModel, n: KripkeModel) -> 
 
     visit(len(left) - 1, 0)
     return BackAndForthSystem(frozenset(alive), frag, left, right)
+
+
+def _clashes(i, img, sl, sr) -> bool:
+    """Does the pair (i, img[i]) break the relation with successor tables sl
+    and sr, against itself or a pair assigned to a left state above i?"""
+    u = img[i]
+    for k in range(i, len(img)):
+        v = img[k]
+        if v >= 0 and ((k in sl[i]) != (v in sr[u]) or (i in sl[k]) != (u in sr[v])):
+            return True
+    return False
 
 
 def _bf_clauses_met(code, img, inv, alive, weight, ext, back_ext, targets, steps, exists) -> bool:
@@ -685,10 +711,7 @@ def _bf_clauses_met(code, img, inv, alive, weight, ext, back_ext, targets, steps
             if j < 0:
                 continue
             for i2 in sl[i]:
-                k = img[i2]
-                if k >= 0:
-                    if k not in sr[j]:
-                        return False
+                if img[i2] >= 0:
                     continue
                 for u in sr[j]:
                     if code + (u + 1) * weight[i2] in alive:
@@ -696,10 +719,7 @@ def _bf_clauses_met(code, img, inv, alive, weight, ext, back_ext, targets, steps
                 else:
                     return False
             for u2 in sr[j]:
-                k = inv[u2]
-                if k >= 0:
-                    if k not in sl[i]:
-                        return False
+                if inv[u2] >= 0:
                     continue
                 for i3 in sl[i]:
                     if img[i3] < 0 and code + (u2 + 1) * weight[i3] in alive:

@@ -63,6 +63,24 @@ def identity_family(m: KripkeModel, l_max: int) -> LBisimFamily:
     return LBisimFamily(levels, l_max)
 
 
+def edges_model(states: str, p: str = "", **relations: str) -> KripkeModel:
+    """A model over the space-separated `states`, with prop p at the states
+    in `p` and each relation given as space-separated `a-b` edges."""
+    rels = {r: [e.split("-") for e in edges.split()] for r, edges in relations.items()}
+    return model_from_dict({"states": states.split(), "relations": rels, "props": {"p": p.split()}})
+
+
+# 6-state pairs: a tree against a non-isomorphic one, whose families without
+# exists are large, and a lasso against a renamed copy listed in another order
+SIX_STATE_PAIRS = [
+    (edges_model("a b c d e f", l="a-b a-c a-d b-e"), edges_model("f e d c b a", l="a-b a-c a-d a-e e-f")),
+    (
+        edges_model("a b c d e f", "a", l="a-b b-c c-d d-e e-f f-c"),
+        edges_model("u v w x y z", "x", l="x-z z-u u-y y-v v-w w-u"),
+    ),
+]
+
+
 class TestActionPairClosure:
     def test_single_relation_no_ctors(self):
         left, right = fx.fork_pair()
@@ -225,6 +243,55 @@ class TestBackAndForth:
                     assert system.relates(w, v) == any((w, v) in h for h in expected)
             # subset-closed: dropping any pair of a surviving map leaves a survivor
             assert all(h - {pair} in expected for h in expected for pair in h)
+
+    @pytest.mark.parametrize("f", FRAGMENTS, ids=lambda f: f.describe())
+    def test_loop_on_one_side_only(self, f):
+        # only left state a has a loop, and it is assigned last; {(a, a), (b, b)}
+        # keeps every other edge, and its successors are all mapped
+        m = edges_model("a b c d", l="a-a a-b c-d d-c")
+        n = edges_model("a b c d", l="a-b c-d d-c")
+        system = max_back_and_forth(f, m, n)
+        assert system.maps == naive_max_back_and_forth(f, m, n)
+        assert all(w != "a" for h in system.maps for w, _ in h)
+        assert system.relates("c", "c") == ("exists" not in f.ops)
+
+    @pytest.mark.parametrize("f", FRAGMENTS, ids=lambda f: f.describe())
+    def test_consistent_on_l_but_not_on_r(self, f):
+        # the identity keeps l; it breaks r only in the direction from the
+        # state assigned later (a) to the one assigned first (b)
+        m = edges_model("a b", l="a-b", r="b-a")
+        n = edges_model("a b", l="a-b", r="")
+        identity = frozenset({("a", "a"), ("b", "b")})
+        system = max_back_and_forth(f, m, n)
+        assert system.maps == naive_max_back_and_forth(f, m, n)
+        assert identity not in system.maps and not system.relates("a", "a")
+        assert identity in max_back_and_forth(f, edges_model("a b", l="a-b"), edges_model("a b", l="a-b")).maps
+
+    @pytest.mark.parametrize("f", FRAGMENTS, ids=lambda f: f.describe())
+    def test_pair_cut_at_its_first_assignment(self, f):
+        # b is assigned first; (b, b) breaks the loop at b, so nothing below it is visited
+        m = edges_model("a b", l="b-b")
+        n = edges_model("a b", l="a-a")
+        system = max_back_and_forth(f, m, n)
+        assert system.maps == naive_max_back_and_forth(f, m, n)
+        assert not system.relates("b", "b") and not system.relates("a", "a")
+        assert frozenset({("a", "b"), ("b", "a")}) in system.maps
+
+    @pytest.mark.parametrize("f", FRAGMENTS, ids=lambda f: f.describe())
+    def test_six_state_families_are_partial_isomorphisms(self, f):
+        for m, n in SIX_STATE_PAIRS:
+            system = max_back_and_forth(f, m, n)
+            assert len(system.maps) == len(system)
+            for h in system.maps:
+                wt, vt = zip(*sorted(h)) if h else ((), ())
+                report = partial_iso_from_tuple(m, n, ((wt, m.states[0]), (vt, n.states[0])))
+                assert report.relation_preserving and report.ok, (f.describe(), sorted(h))
+            if back_and_forth_hypotheses(f):
+                for w in m.states:
+                    for v in n.states:
+                        wins = omega_solve(f, PointedModel(m, w), PointedModel(n, v)).eloise_wins
+                        assert system.relates(w, v) == wins, (f.describe(), w, v)
+        assert len(system) > 1  # the lasso pair is isomorphic
 
 
 class TestValidateBisimFamily:
@@ -546,6 +613,9 @@ class TestIntArena:
                     assert view - {res.init} == decoded - {res.init}
                     assert all(pos in view for pos in decoded)
                     assert (frozenset({("nowhere", "nowhere")}), res.init[1]) not in view
+                    named, (w, v) = res.init
+                    malformed = [res.start, (named,), (named, w), (named, [w, v]), (list(named), (w, v)), ({1}, (w, v))]
+                    assert not any(pos in view for pos in malformed)
                     seen.add(res.winner)
         assert seen == {"eloise", "abelard"}
 
