@@ -29,14 +29,15 @@ def satisfies(pm: PointedModel, s: Sentence) -> bool:
     The binders of `s` extend an environment, the (variable, state) pairs
     bound on the way down, instead of expanding the model. Subterm results
     are memoized per (subterm, state, environment). Terms are hash-consed, so
-    equal subterms are one object and each is evaluated once per state and
-    environment; semantically this is the plain recursive satisfaction.
+    equal subterms are one object; every call on one model shares its memo and
+    the subterms `check_sentence` accepted (`sat_cache`), so each is checked
+    once per scope and evaluated once per state and environment on the model.
     """
     m = pm.model
-    check_sentence(s, m.sig)
+    memo, checked = m.sat_cache
+    check_sentence(s, m.sig, checked)
     base = m.nominal_interp  # covers the signature's own bound variables
     succ = m.succ
-    memo: dict[tuple, bool] = {}
 
     def point(name: str, env: tuple) -> str:
         got = base.get(name)
@@ -47,21 +48,22 @@ def satisfies(pm: PointedModel, s: Sentence) -> bool:
         got = memo.get(key)
         if got is not None:
             return got
-        if isinstance(t, Prop):
+        tp = type(t)
+        if tp is Prop:
             res = t.name in m.valuation[w]
-        elif isinstance(t, Nom):
+        elif tp is Nom:
             res = point(t.name, env) == w
-        elif isinstance(t, And):
+        elif tp is And:
             res = all(ev(w, env, i) for i in t.items)
-        elif isinstance(t, Neg):
+        elif tp is Neg:
             res = not ev(w, env, t.body)
-        elif isinstance(t, Dia):
+        elif tp is Dia:
             res = any(ev(v, env, t.body) for v in succ[t.action][w])
-        elif isinstance(t, At):
+        elif tp is At:
             res = ev(point(t.name, env), env, t.body)
-        elif isinstance(t, Store):
+        elif tp is Store:
             res = ev(w, env + ((t.var, w),), t.body)
-        elif isinstance(t, Exists):
+        elif tp is Exists:
             res = any(ev(w, env + ((t.var, v),), t.body) for v in m.states)
         else:
             raise TypeError(f"not a sentence: {t!r}")

@@ -198,7 +198,6 @@ def char_formula(tr: GameboardTree, pm: PointedModel) -> GameSentence:
         raise SignatureMismatchError("model signature differs from tree root signature")
     succ = m.succ
     memo: dict[tuple, GameSentence] = {}
-    basics: dict[int, tuple[Sentence, ...]] = {}
 
     def char(node: GameboardTree, w: str, env: tuple[str, ...]) -> GameSentence:
         key = (id(node), w, env)
@@ -206,11 +205,10 @@ def char_formula(tr: GameboardTree, pm: PointedModel) -> GameSentence:
         if got is not None:
             return got
         if not node.children:
-            bs = basics.get(id(node)) or basics.setdefault(id(node), basic_sentences(node.sig))
             res: GameSentence = GSLeaf(
                 tuple(
                     (b, _point(m, node, env, b.name) == w if isinstance(b, Nom) else b.name in m.valuation[w])
-                    for b in bs
+                    for b in basic_sentences(node.sig)
                 )
             )
         else:

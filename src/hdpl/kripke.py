@@ -92,6 +92,13 @@ class KripkeModel:
             object.__setattr__(self, "_succ", Successors(weakref.proxy(self)))
         return self._succ
 
+    @property
+    def sat_cache(self) -> tuple[dict, dict]:
+        """The memo and checked terms all `satisfies` calls on this model share."""
+        if "_sat" not in self.__dict__:
+            object.__setattr__(self, "_sat", ({}, {}))
+        return self._sat
+
 
 @dataclass(frozen=True, eq=True)
 class PointedModel:

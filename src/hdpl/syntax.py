@@ -106,8 +106,14 @@ class Signature:
         if n > first:
             taken = taken | {var}
         ext = object.__new__(Signature)  # var is fresh: no disjointness check
-        ext.__dict__.update(vars(self), bound_vars=self.bound_vars + (var,), _taken=taken)
+        # the fields alone: what `self` caches does not hold for `ext`
+        ext.__dict__.update(nominals=self.nominals, relations=self.relations, props=self.props,
+                            bound_vars=self.bound_vars + (var,), _taken=taken)
         return ext, var
+
+    @cached_property
+    def _basics(self) -> tuple["Sentence", ...]:
+        return tuple(Nom(n) for n in self.point_names()) + tuple(Prop(p) for p in self.props)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Signature":
@@ -361,10 +367,10 @@ FALSE = Neg(TRUE)
 def conj(items: Iterable[Sentence]) -> Sentence:
     """Canonical conjunction: deduplicated, sorted by the canonical text,
     singleton-collapsed."""
-    ordered = sorted(dict.fromkeys(items), key=print_sentence)
-    if len(ordered) == 1:
-        return ordered[0]
-    return And(ordered)
+    items = tuple(items)
+    if len(items) > 1:
+        items = sorted(dict.fromkeys(items), key=print_sentence)
+    return items[0] if len(items) == 1 else And(items)
 
 
 def disj(items: Iterable[Sentence]) -> Sentence:
@@ -383,8 +389,9 @@ def forall(var: str, body: Sentence) -> Sentence:
 
 def basic_sentences(sig: Signature) -> tuple[Sentence, ...]:
     """The basic sentences of a signature, in canonical order: nominal and
-    variable equations first, then propositional symbols."""
-    return tuple(Nom(n) for n in sig.point_names()) + tuple(Prop(p) for p in sig.props)
+    variable equations first, then propositional symbols; built once per
+    signature object."""
+    return sig._basics
 
 
 # ---------------------------------------------------------------------------
@@ -657,45 +664,51 @@ def check_action(a: Action, sig: Signature):
             raise UndeclaredSymbolError(node.name)
 
 
-def check_sentence(s: Sentence, sig: Signature):
-    """Raise if `s` is not well-formed over `sig` (undeclared symbols or
-    colliding binder names). Binders change only the point names in scope, so
-    one call checks each distinct action, and each distinct conjunction under
-    the same point names, once."""
-    checked: set = set()  # actions, and (conjunction, point names) pairs
+_COMPOUND = (And, Neg, Dia, At, Store, Exists)  # terms are never subclassed: type tests are exact
 
-    def check(s: Sentence, points: frozenset[str]):
-        if isinstance(s, Prop):
+
+def check_sentence(s: Sentence, sig: Signature, checked: dict):
+    """Raise if `s` is not well-formed over `sig` (undeclared symbols or
+    colliding binder names). `checked` maps each set of point names in scope
+    to the compound subterms that passed there, and the signature's own set
+    also holds the actions that passed; none is walked again, and a node that
+    raises is recorded with none of its ancestors. Calls over one signature
+    may share one dict, as `satisfies` does per model."""
+    top = frozenset(sig.point_names())
+    actions = checked.setdefault(top, set())
+
+    def check(s: Sentence, points: frozenset[str], seen: set):
+        tp = type(s)
+        if tp is Prop:
             if s.name not in sig.props:
                 raise UndeclaredSymbolError(s.name)
-        elif isinstance(s, Nom):
+        elif tp is Nom:
             if s.name not in points:
                 raise UndeclaredSymbolError(s.name)
-        elif isinstance(s, And):
-            if (s, points) in checked:
-                return
-            for i in s.items:
-                check(i, points)
-            checked.add((s, points))
-        elif isinstance(s, Neg):
-            check(s.body, points)
-        elif isinstance(s, Dia):
-            if s.action not in checked:
-                check_action(s.action, sig)
-                checked.add(s.action)
-            check(s.body, points)
-        elif isinstance(s, At):
-            if s.name not in points:
-                raise UndeclaredSymbolError(s.name)
-            check(s.body, points)
-        elif isinstance(s, (Store, Exists)):
-            if s.var in points or s.var in sig.props or s.var in sig.relations:
-                raise SignatureError(f"variable name '{s.var}' collides with a declared symbol")
-            check(s.body, points | {s.var})
-        else:
+        elif tp not in _COMPOUND:
             raise TypeError(f"not a sentence: {s!r}")
+        elif s not in seen:
+            if tp is And:
+                for i in s.items:
+                    check(i, points, seen)
+            elif tp is Neg:
+                check(s.body, points, seen)
+            elif tp is Dia:
+                if s.action not in actions:
+                    check_action(s.action, sig)
+                    actions.add(s.action)
+                check(s.body, points, seen)
+            elif tp is At:
+                if s.name not in points:
+                    raise UndeclaredSymbolError(s.name)
+                check(s.body, points, seen)
+            else:
+                if s.var in points or s.var in sig.props or s.var in sig.relations:
+                    raise SignatureError(f"variable name '{s.var}' collides with a declared symbol")
+                check(s.body, inner := points | {s.var}, checked.setdefault(inner, set()))
+            seen.add(s)
 
-    check(s, frozenset(sig.point_names()))
+    check(s, top, actions)
 
 
 @dataclass(frozen=True)

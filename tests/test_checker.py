@@ -9,17 +9,26 @@ from oracle_eval import naive_satisfies
 from hdpl import fixtures as fx
 from hdpl.checker import SignatureMismatchError, game_property, satisfies
 from hdpl.corpus import FRAGMENTS, random_sentence, small_signature
-from hdpl.games import char_formula
-from hdpl.gameboard import leaf
+from hdpl.games import char_formula, enumerate_game_sentences, lower_game_sentence
+from hdpl.gameboard import leaf, parse_tree
 from hdpl.kripke import PointedModel, expand, generate_random_model
 from hdpl.syntax import (
+    And,
     Dia,
     FragmentConfig,
     Neg,
+    Nom,
+    Prop,
     Rel,
     Signature,
+    SignatureError,
+    Star,
+    Store,
+    UndeclaredSymbolError,
     Union,
     Comp,
+    check_sentence,
+    conj,
     parse_sentence,
     print_sentence,
 )
@@ -58,6 +67,66 @@ class TestAgainstNaiveOracle:
             m = generate_random_model(rng.randrange(2**30), rng.randint(1, 4), rng.random(), sig)
             pm = PointedModel(m, rng.choice(m.states))
             assert satisfies(pm, s) == naive_satisfies(pm, s), print_sentence(s)
+
+
+class TestSharedCache:
+    """Every `satisfies` call on one model shares its memo and its record of
+    well-formed subterms; the verdicts and errors are those of a fresh call."""
+
+    def test_verdicts_in_either_order(self):
+        sig = Signature(relations=("l",), props=("p",))
+        tree = parse_tree("(down (dia l leaf))", sig)
+        lowered = [lower_game_sentence(g) for g in enumerate_game_sentences(tree, 256)]
+        assert len(lowered) == 16
+        rng = random.Random(17)
+        sentences = lowered + [random_sentence(rng, sig, FragmentConfig.full()) for _ in range(24)]
+        for seed in range(4):
+            m = generate_random_model(seed, 4, 0.4, sig)
+            fresh = generate_random_model(seed, 4, 0.4, sig)
+            for w in m.states:
+                pm = PointedModel(m, w)
+                expected = [naive_satisfies(pm, s) for s in sentences]
+                assert [satisfies(pm, s) for s in sentences] == expected
+                assert [satisfies(pm, s) for s in reversed(sentences)] == expected[::-1]
+                assert [satisfies(PointedModel(fresh, w), s) for s in reversed(sentences)] == expected[::-1]
+                assert sum(expected[:16]) == 1  # one game sentence per tree holds
+
+    def test_ill_formed_sentences_sharing_accepted_subterms(self):
+        sig = Signature(nominals=("k",), relations=("l",), props=("p",))
+        m = generate_random_model(3, 3, 0.5, sig)
+        pm = PointedModel(m, m.states[0])
+        good = parse_sentence("down x . <l>(p & x) & <l*>@k p", sig)
+        body = conj([Prop("p"), Nom("x")])  # accepted under the binder x only
+        bad = [
+            (conj([good, Prop("q")]), UndeclaredSymbolError, "undeclared symbol 'q'"),
+            (Dia(Rel("l"), body), UndeclaredSymbolError, "undeclared symbol 'x'"),
+            (Dia(Union(Star(Rel("l")), Rel("m")), good), UndeclaredSymbolError, "undeclared symbol 'm'"),
+            (Store("x", And((good, Store("x", body)))), SignatureError,
+             "variable name 'x' collides with a declared symbol"),
+        ]
+        after = parse_sentence("<l>(p & ~k) | down y . <l*>y", sig)
+        for run in range(2):
+            assert satisfies(pm, good) == naive_satisfies(pm, good)
+            for s, error, message in bad:
+                for model in (m, generate_random_model(3, 3, 0.5, sig)):
+                    with pytest.raises(error) as err:
+                        satisfies(PointedModel(model, model.states[0]), s)
+                    assert str(err.value) == message
+                with pytest.raises(error) as err:
+                    check_sentence(s, sig, {})
+                assert str(err.value) == message
+            assert satisfies(pm, after) == naive_satisfies(pm, after)
+
+    def test_one_term_on_models_of_two_signatures(self):
+        s = Dia(Star(Rel("m")), conj([Prop("p"), Nom("k")]))
+        narrow = generate_random_model(5, 3, 0.5, Signature(nominals=("k",), relations=("l",), props=("p",)))
+        wide = generate_random_model(5, 3, 0.5, Signature(nominals=("k",), relations=("l", "m"), props=("p",)))
+        for _ in range(2):
+            with pytest.raises(UndeclaredSymbolError) as err:
+                satisfies(PointedModel(narrow, "s0"), s)
+            assert err.value.symbol == "m"
+            for w in wide.states:
+                assert satisfies(PointedModel(wide, w), s) == naive_satisfies(PointedModel(wide, w), s)
 
 
 class TestSatisfactionCondition:

@@ -31,6 +31,7 @@ from hdpl.syntax import (
     Store,
     At,
     UndeclaredSymbolError,
+    basic_sentences,
     box,
     check_sentence,
     conj,
@@ -195,6 +196,16 @@ class TestSignature:
                 assert ext == Signature(sig.nominals, sig.relations, sig.props, sig.bound_vars + (v,))
                 sig = ext
 
+    def test_basic_sentences_of_an_extension(self):
+        # basics cached before the first extension: the extension is built
+        # from its parent's fields and does not inherit that cache
+        sig = Signature(nominals=("k",), relations=("l",), props=("p",))
+        assert basic_sentences(sig) == (Nom("k"), Prop("p"))
+        assert basic_sentences(sig) is basic_sentences(sig)
+        ext, v = extend_signature(sig)
+        assert basic_sentences(ext) == (Nom("k"), Nom(v), Prop("p"))
+        assert basic_sentences(extend_signature(ext)[0])[2] == Nom("x1")
+
     def test_overlapping_bound_variables_rejected(self):
         with pytest.raises(SignatureError):
             Signature(props=("x0",), bound_vars=("x0",))
@@ -261,23 +272,26 @@ class TestValidateInFragment:
     def test_first_undeclared_relation_in_pre_order(self):
         s = Dia(Union(Comp(Rel("a"), Rel("b")), Star(Rel("c"))), Prop("p"))
         with pytest.raises(UndeclaredSymbolError) as err:
-            check_sentence(s, SIG)
+            check_sentence(s, SIG, {})
         assert err.value.symbol == "a"
 
     def test_shared_conjunction_checked_in_each_scope(self):
         # the conjunction x & p is well-formed under the binder only; its
-        # second occurrence, checked after the first, is outside the binder
+        # second occurrence, checked after the first, is outside the binder,
+        # whether or not the calls share what they checked
         body = conj([Nom("x"), Prop("p")])
-        check_sentence(Store("x", body), SIG)
-        with pytest.raises(UndeclaredSymbolError) as err:
-            check_sentence(And((Store("x", body), Dia(Rel("l"), body))), SIG)
-        assert err.value.symbol == "x"
+        shared = {}
+        for checked in ({}, shared, shared):
+            check_sentence(Store("x", body), SIG, checked)
+            with pytest.raises(UndeclaredSymbolError) as err:
+                check_sentence(And((Store("x", body), Dia(Rel("l"), body))), SIG, checked)
+            assert err.value.symbol == "x"
 
     def test_each_call_checks_actions_against_its_own_signature(self):
         s = Dia(Star(Rel("m")), Prop("p"))
-        check_sentence(s, Signature(relations=("l", "m"), props=("p",)))
+        check_sentence(s, Signature(relations=("l", "m"), props=("p",)), {})
         with pytest.raises(UndeclaredSymbolError) as err:
-            check_sentence(s, Signature(relations=("l",), props=("p",)))
+            check_sentence(s, Signature(relations=("l",), props=("p",)), {})
         assert err.value.symbol == "m"
 
 
@@ -304,7 +318,8 @@ def test_rename_sentence_round_trip():
 def test_conjunction_canonical_order_and_dedup():
     a, b = Prop("p"), Neg(Nom("k"))
     assert conj([a, b, a]) == conj([b, a])
-    assert conj([a]) == a
+    assert conj([a]) is conj(iter([a])) is conj([a, a]) is a
+    assert conj([]) is conj(iter(())) is And(())
     assert disj([a]) == disj([a, a]) == a
 
 
