@@ -7,9 +7,11 @@ Arena positions abstract the two players' naming histories into a set of
 named state correspondences plus the current pair, coded as one int: with
 the states numbered in name order, mask bit c names pair c, so named pairs
 are tried in sorted order and the search, its dead positions and the
-stabilization height are the same in every process. The safety condition,
-basic-sentence agreement of the current pair and consistency with every
-named pair, is one mask test. Results decode positions on iteration.
+stabilization height are the same in every process. The safety condition
+(basic agreement of the current pair, consistent with every named pair) is
+one mask test. A challenger option is a row (base, codes) of replies base |
+code, made when a search reaches it; a solve restarts only when a disproof
+voids an answer it relied on. Results decode positions on iteration.
 
 Every solver moves along the base relations only, whatever constructors the
 fragment enables: a diamond move keeps the named correspondences, so a
@@ -20,7 +22,7 @@ position set closed under base moves is closed under `+`, `;` and `*` too
 from __future__ import annotations
 
 import itertools
-from collections.abc import Set
+from collections.abc import Iterator, Set
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -47,6 +49,7 @@ from .syntax import (
 )
 
 Pair = tuple[str, str]
+_SPENT = (0, None)  # the row `next` gives once an `_Arena.options` generator is spent
 
 
 class OmegaError(HdplError):
@@ -193,9 +196,11 @@ class _Arena:
         c = pos & self.low
         return self.agree[c] and (pos == c or not pos & self.conflict[c])
 
-    def options(self, pos: int) -> list[list[int]]:
-        """Per challenger option, the list of positions the answering player
-        may choose among."""
+    def options(self, pos: int) -> Iterator[tuple[int, list[int]]]:
+        """Yields one row (base, codes) per challenger option, on demand: the
+        answering player may choose among base | code, for each code in order.
+        Diamond and `@k` rows are the per-pair template as is, `@` a named
+        pair gives (named, [c']), store (pos | bit, [0]), exists (pos, bits)."""
         c = pos & self.low
         named, ops = pos ^ c, self.frag.ops
         template = self.templates[c]
@@ -206,18 +211,19 @@ class _Arena:
                 rows, right = [w2 * width for w2 in sl[i]], sr[j]
                 template += [[a + b for b in right] for a in rows] + [[a + b for a in rows] for b in right]
             self.templates[c] = template = template + self.targets
-        options = [[named | r for r in replies] for replies in template] if named else template[:]
+        for codes in template:
+            yield named, codes
         if "at" in ops:
             mask = pos >> self.S
             while mask:  # the named pairs, in ascending code order
                 bit = mask & -mask
-                options.append([named | bit.bit_length() - 1])
+                yield named, [bit.bit_length() - 1]
                 mask ^= bit
         if "store" in ops:
-            options.append([pos | 1 << (self.S + c)])
+            yield pos | 1 << (self.S + c), [0]
         if "exists" in ops:
-            options += [[pos | bit for bit in bits] for bits in self.naming]
-        return options
+            for bits in self.naming:
+                yield pos, bits
 
 
 class _Positions(Set):
@@ -249,7 +255,7 @@ class OmegaResult:
     start: int  # the start position
     safe: _Positions | None
     dead: _Positions  # each has an option with no surviving answer, or is a violating start
-    runs: int  # restarts + 1
+    runs: int  # 1 + the tainted runs that were restarted
     _arena: _Arena = field(repr=False)
     # (position, depth) -> can the survivor last depth rounds; shared by all ranks
     _memo: dict[tuple[int, int], bool] = field(default_factory=dict, repr=False)
@@ -264,17 +270,43 @@ class OmegaResult:
 
     def _rank(self, pos: int, limit: int | None = None) -> int | None:
         """The first depth below `limit` at which the survivor cannot last
-        from `pos`: the challenger's exact rounds-to-violation. None when
-        every depth below `limit` survives."""
-        depths = itertools.count() if limit is None else range(limit)
-        return next((d for d in depths if not _bounded_survive(self._arena, pos, d, self._memo)), None)
+        from `pos` (the challenger's exact rounds-to-violation), or None.
+        Each depth is a bounded game search over the reply rows, on a stack
+        of frames [pos, depth, rows, base, codes, reply_index]."""
+        prop, options, memo = self._arena.prop, self._arena.options, self._memo
+        for depth in itertools.count() if limit is None else range(limit):
+            if (pos, depth) not in memo:
+                rows = options(pos)
+                stack = [[pos, depth, rows, *next(rows, _SPENT), 0]] if depth and prop(pos) else []
+                while stack:
+                    f = stack[-1]
+                    p, d, rows, base, codes, j = f
+                    if codes is None or j == len(codes):
+                        memo[p, d] = codes is None  # every option answered, or one has no lasting reply
+                        stack.pop()
+                        continue
+                    r = base | codes[j]
+                    got = memo.get((r, d - 1))
+                    if got is None:
+                        got = prop(r)
+                        if got and d > 1:
+                            rows = options(r)
+                            stack.append([r, d - 1, rows, *next(rows, _SPENT), 0])
+                            continue
+                        memo[r, d - 1] = got
+                    if got:
+                        f[3], f[4] = next(rows, _SPENT)
+                        f[5] = 0
+                    else:
+                        f[5] = j + 1
+            if not memo.setdefault((pos, depth), prop(pos)):
+                return depth
+        return None
 
     def loss_rank(self) -> int | None:
         """Minimal number of rounds within which the challenger can force a
         violation; None on a survivor win."""
-        if self.winner != "abelard":
-            return None
-        return self._rank(self.start)
+        return self._rank(self.start) if self.winner == "abelard" else None
 
     def stabilization_height(self, cap: int = 8) -> int:
         """The tree height at which verdicts stop changing, capped at `cap`:
@@ -299,77 +331,64 @@ def omega_solve(frag: FragmentConfig, left: PointedModel, right: PointedModel) -
     Otherwise the solver explores lazily and optimistically from the start:
     cycles are assumed safe, a reply that breaks the property is never an
     answer, and a disproof (an option with no surviving answer) is
-    permanent. A run that added a disproof without disproving the start is
-    restarted, because its assumptions may have leaned on a position that
-    later died. The final run either disproves the start (sound at once) or
-    adds no disproof, in which case its certified set is closed under the
-    answering player's strategy and hence genuinely safe.
+    permanent. A run is restarted, keeping its disproofs, only when it is
+    tainted: a position that answered an option while on the stack died
+    later. The final run either disproves the start (sound at once) or is
+    untainted; as a certified position never dies within its run, its
+    certified set is then closed under the answering player's strategy.
     """
     arena = _Arena(frag, left.model, right.model)
     init = arena.code(left.current, right.current)
     if not arena.prop(init):
         return OmegaResult("abelard", init, None, _Positions({init}, arena), 1, arena)
     dead: set[int] = set()
-    runs = 0
-    while init not in dead:
+    safe, runs = None, 0
+    while safe is None and init not in dead:
         runs += 1
-        before = len(dead)
         safe = _attempt(arena, init, dead)
-        if len(dead) == before:
-            return OmegaResult("eloise", init, _Positions(safe, arena), _Positions(dead, arena), runs, arena)
-    return OmegaResult("abelard", init, None, _Positions(dead, arena), runs, arena)
+    if init in dead:
+        return OmegaResult("abelard", init, None, _Positions(dead, arena), runs, arena)
+    return OmegaResult("eloise", init, _Positions(safe, arena), _Positions(dead, arena), runs, arena)
 
 
-def _attempt(arena: _Arena, init: int, dead: set[int]) -> set[int]:
+def _attempt(arena: _Arena, init: int, dead: set[int]) -> set[int] | None:
     """One optimistic depth-first certification pass from the property-holding
     position `init`; adds its disproofs to `dead` and returns the positions
-    it certified.
+    it certified, or None when the run is tainted.
 
     `live` holds the positions on the stack and those certified so far, all
-    of which hold the property. Iterative so depth is not bounded by the
-    interpreter stack. Each frame is [pos, options, option_index,
-    reply_index]; a popped frame's parent looks at the same reply again and
-    finds it in `live` (certified) or in `dead`.
+    of which hold the property; `relied` those used as an answer. Each frame
+    is [pos, rows, base, codes, reply_index], (base, codes) the current row;
+    a popped frame's parent looks at the same reply again and finds it in
+    `live` (certified) or in `dead`.
     """
-    live = {init}
-    stack: list[list] = [[init, arena.options(init), 0, 0]]
+    prop, options = arena.prop, arena.options
+    live, relied, tainted = {init}, set(), False
+    rows = options(init)
+    stack: list[list] = [[init, rows, *next(rows, _SPENT), 0]]
     while stack:
         f = stack[-1]
-        pos, options, i, j = f
-        if i == len(options):
+        pos, rows, base, codes, j = f
+        if codes is None:
             stack.pop()  # every option answered: certified, stays live
-        elif j == len(options[i]):
-            stack.pop()  # no surviving answer to option i: disproven
+        elif j == len(codes):
+            stack.pop()  # no surviving answer to the current option: disproven
             live.discard(pos)
             dead.add(pos)
+            tainted = tainted or pos in relied
         else:
-            r = options[i][j]
+            r = base | codes[j]
             if r in live:
-                f[2] += 1  # answered; on to the next option
-                f[3] = 0
-            elif r in dead or not arena.prop(r):
-                f[3] += 1  # not an answer; on to the next reply
+                relied.add(r)
+                f[2], f[3] = next(rows, _SPENT)  # answered; on to the next option
+                f[4] = 0
+            elif r in dead or not prop(r):
+                f[4] = j + 1  # not an answer; on to the next reply
             else:
                 live.add(r)
-                stack.append([r, arena.options(r), 0, 0])
-    return live
-
-
-def _bounded_survive(arena: _Arena, pos: int, depth: int, memo: dict) -> bool:
-    """Can the survivor last `depth` rounds from `pos`? Plain bounded-depth
-    game search on arena positions, memoized on (position, depth)."""
-    key = (pos, depth)
-    got = memo.get(key)
-    if got is None:
-        got = arena.prop(pos) and (
-            depth == 0
-            or all(
-                any(_bounded_survive(arena, r, depth - 1, memo) for r in replies)
-                for replies in arena.options(pos)
-            )
-        )
-        memo[key] = got
-    return got
+                rows = options(r)
+                stack.append([r, rows, *next(rows, _SPENT), 0])
+    return None if tainted else live
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,21 @@ class TestOmegaCommands:
         assert code == 1
         assert data == {"command": "omega", "winner": "abelard", "fragment": "diamond,union,comp,star", "loss_rank": 0}
 
+    def test_omega_rank_of_long_chains(self, tmp_path, capsys):
+        # the challenger needs 200 rounds to run the shorter chain out; ranks
+        # come from an explicit stack, so the long line of play is no error
+        for n in (200, 201):
+            chain = {
+                "states": [f"s{i}" for i in range(n)],
+                "relations": {"l": [[f"s{i}", f"s{i + 1}"] for i in range(n - 1)]},
+            }
+            (tmp_path / f"chain{n}.json").write_text(json.dumps(chain))
+        code, data = run_json(
+            capsys, "omega", "--fragment", "diamond",
+            "--left", str(tmp_path / "chain200.json") + ":s0", "--right", str(tmp_path / "chain201.json") + ":s0",
+        )
+        assert (code, data["winner"], data["loss_rank"]) == (1, "abelard", 200)
+
     def test_bf_pair(self, demo_dir, capsys):
         code, out = run(
             capsys, "bf", "--fragment", "diamond,store",

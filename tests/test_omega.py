@@ -513,6 +513,12 @@ def all_positions(arena):
     return [mask << arena.S | c for mask in range(1 << arena.S) for c in range(arena.S)]
 
 
+def reply_lists(arena, pos):
+    """Per challenger option at `pos`, the full list of the answering
+    player's replies: each (base, codes) row expanded to base | code."""
+    return [[base | code for code in codes] for base, codes in arena.options(pos)]
+
+
 def brute_force_safety_verdict(f, left, right, arena=None) -> bool:
     """Classical greatest fixpoint over the fully enumerated arena (by default
     the solver's own): start from every property-holding position and delete
@@ -525,7 +531,7 @@ def brute_force_safety_verdict(f, left, right, arena=None) -> bool:
     while changed:
         changed = False
         for p in list(safe):
-            if any(not any(r in safe for r in replies) for replies in arena.options(p)):
+            if any(not any(r in safe for r in replies) for replies in reply_lists(arena, p)):
                 safe.discard(p)
                 changed = True
     return arena.code(left.current, right.current) in safe
@@ -592,7 +598,7 @@ class TestIntArena:
                 expected = frozenset(pair(b) for b in range(S) if mask >> b & 1), pair(c)
                 assert arena.decode(pos) == expected
                 assert arena.prop(pos) == reference_prop(m, n, expected)
-                replies = [[arena.decode(r) for r in option] for option in arena.options(pos)]
+                replies = [[arena.decode(r) for r in option] for option in reply_lists(arena, pos)]
                 assert replies == reference_options(f, m, n, expected)
             drawn, largest = drawn + 1, max(largest, S)
 
@@ -632,6 +638,16 @@ def solved_sample(f, count=40):
         yield omega_solve(f, PointedModel(m, rng.choice(m.states)), PointedModel(n, rng.choice(n.states)))
 
 
+def assert_safe_set_closed(res):
+    """The safe set holds the start and the property, and answers every
+    option of each of its positions."""
+    arena, safe = res._arena, res.safe.codes
+    assert res.start in safe
+    for pos in safe:
+        assert arena.prop(pos)
+        assert all(any(r in safe for r in replies) for replies in reply_lists(arena, pos))
+
+
 class TestInvariants:
     @pytest.mark.parametrize("f", FRAGMENTS, ids=lambda f: f.describe())
     def test_dead_positions_hold_the_property(self, f):
@@ -651,15 +667,28 @@ class TestInvariants:
     def test_safe_set_is_closed_on_survivor_wins(self, f):
         wins = 0
         for res in solved_sample(f):
-            if not res.eloise_wins:
-                continue
-            arena = res._arena
-            assert res.start in res.safe.codes
-            for pos in res.safe.codes:
-                assert arena.prop(pos)
-                assert all(any(r in res.safe.codes for r in replies) for replies in arena.options(pos))
-            wins += 1
+            if res.eloise_wins:
+                assert_safe_set_closed(res)
+                wins += 1
         assert wins > 0
+
+    def test_only_a_tainted_run_restarts(self):
+        # a run that adds disproofs keeps its certified set unless a position
+        # that answered while still on the stack died later; both cases occur
+        runs = set()
+        for f in FRAGMENTS:
+            for res in solved_sample(f):
+                if res.eloise_wins and res.dead:
+                    assert_safe_set_closed(res)
+                    runs.add(min(res.runs, 2))
+        assert runs == {1, 2}
+        # the first run certifies positions through one that dies later; its
+        # certified set is open, so only the second run's is the safe set
+        sig = Signature(nominals=("k",), relations=("l",), props=("p",))
+        sweep = PointedModel(generate_random_model(39, 5, 0.4, sig), "s0")
+        res = omega_solve(frag({"diamond"}), sweep, sweep)
+        assert res.runs == 2
+        assert_safe_set_closed(res)
 
     def test_lazy_solver_matches_brute_force_fixpoint(self):
         rng = random.Random(87)
