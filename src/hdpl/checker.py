@@ -79,16 +79,22 @@ def game_property(pmL: PointedModel, pmR: PointedModel) -> bool:
     mL, mR = pmL.model, pmR.model
     if mL.sig != mR.sig:
         raise SignatureMismatchError(f"signatures differ: {mL.sig} vs {mR.sig}")
-    return basic_agreement(mL, mR)[(pmL.current, pmR.current)]
+    return basic_profiles(mL)[pmL.current] == basic_profiles(mR)[pmR.current]
+
+
+def basic_profiles(m: KripkeModel) -> dict[str, tuple]:
+    """Each state's basic profile: its propositions, and the signature's
+    nominals and variables that name it, in signature order. Two states
+    satisfy the same basic sentences iff their profiles are equal."""
+    names: dict[str, tuple] = {}
+    for x in m.sig.point_names():
+        w = m.nominal_interp[x]
+        names[w] = names.get(w, ()) + (x,)
+    return {w: (m.valuation[w], names.get(w, ())) for w in m.states}
 
 
 def basic_agreement(m: KripkeModel, n: KripkeModel) -> dict[tuple[str, str], bool]:
     """Whether each left/right pair of states satisfies the same basic
     sentences: the same propositions and the same nominal/variable equations."""
-    names = m.sig.point_names()
-    return {
-        (w, v): m.valuation[w] == n.valuation[v]
-        and all((m.nominal_interp[x] == w) == (n.nominal_interp[x] == v) for x in names)
-        for w in m.states
-        for v in n.states
-    }
+    pm, pn = basic_profiles(m), basic_profiles(n)
+    return {(w, v): pm[w] == pn[v] for w in m.states for v in n.states}

@@ -9,7 +9,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .checker import SignatureMismatchError, basic_agreement, game_property
+from .checker import SignatureMismatchError, basic_profiles, game_property
 from .gameboard import KINDS, Edge, GameboardTree, edge_text, leaf
 from .kripke import KripkeModel, PointedModel, Successors, expand, interpret_action
 from .syntax import (
@@ -299,76 +299,108 @@ def ef_solve(tr: GameboardTree, left: PointedModel, right: PointedModel) -> EfRe
     property holds now and every challenger option on either model has a
     matching answer on the other.
 
-    One memoized search gives the verdict and, on a challenger win, the
-    losing line: the fewest rounds the challenger needs to force a property
-    violation (`loss_depth`) and a replayable trace. Along the line the
-    challenger takes the first option with the smallest depth and the
-    survivor the first answer with the largest depth, so the trace ends in a
-    violation or in a round the survivor cannot answer.
-
-    A position is (node, left state, left environment, right state, right
-    environment) over the two base models; a store or exists round appends
-    the bound states to the environments (see `_point`)."""
+    Each side's configurations (node, state, environment; see `_point`) get
+    ids from one shared table of types: a type is the state's basic profile,
+    which environment states equal it, and per child edge the child's type,
+    or on a dia or exists edge the set of child types. By induction over the
+    tree the survivor wins iff the two roots get one id. Else `rank` over
+    type pairs gives the fewest rounds the challenger needs (`loss_depth`),
+    and a walk from the root a replayable line: the challenger takes the
+    first option of that rank, the survivor the first answer of greatest
+    rank, so the line ends in a violation or in a round with no answer."""
     Lm, Rm = left.model, right.model
     if Lm.sig != tr.sig or Rm.sig != tr.sig:
         raise SignatureMismatchError("both models must share the tree root signature")
-    sl, sr = Lm.succ, Rm.succ
+    table: dict[tuple, int] = {}  # type -> id, ids in order of first visit
 
-    basic = basic_agreement(Lm, Rm)  # the root names; the environments cover the rest
+    def type_pass(m: KripkeModel, memo: dict):
+        succ, states, profile = m.succ, m.states, basic_profiles(m)
 
-    def agree(Lw, Lenv, Rv, Renv) -> bool:
-        if not basic[(Lw, Rv)]:
-            return False
-        for a, b in zip(Lenv, Renv):
-            if (a == Lw) != (b == Rv):
-                return False
-        return True
+        def tid(node, w, env) -> int:
+            key = (id(node), w, env)
+            got = memo.get(key)
+            if got is not None:
+                return got
+            entries = [profile[w], tuple([e == w for e in env])]
+            for (kind, arg), child in node.children:
+                if kind == "dia":
+                    ids = set()
+                    for v in succ[arg][w]:
+                        ids.add(tid(child, v, env))
+                    entries.append(frozenset(ids))
+                elif kind == "exists":
+                    ids = set()
+                    for v in states:
+                        ids.add(tid(child, w, env + (v,)))
+                    entries.append(frozenset(ids))
+                elif kind == "at":
+                    entries.append(tid(child, _point(m, node, env, arg), env))
+                else:  # down or idle
+                    entries.append(tid(child, w, env + (w,) if kind == "down" else env))
+            got = memo[key] = table.setdefault(tuple(entries), len(table))
+            return got
 
-    def options(node, Lw, Lenv, Rv, Renv):
-        """Yield (edge_index, label, side, target, answers) per challenger
-        option; answers are (answering state, position) pairs, the state
-        None on the deterministic at, store and idle edges."""
-        for i, (label, child) in enumerate(node.children):
-            ls = _moves(Lm, sl, node, label, Lw, Lenv)
-            rs = _moves(Rm, sr, node, label, Rv, Renv)
-            if not _holds_a_set(label):
-                (_, w2, e2), (_, v2, f2) = ls[0], rs[0]
-                yield i, label, None, None, [(None, (child, w2, e2, v2, f2))]
-                continue
-            for p, w2, e2 in ls:
-                yield i, label, "left", p, [(q, (child, w2, e2, v2, f2)) for q, v2, f2 in rs]
-            for q, v2, f2 in rs:
-                yield i, label, "right", q, [(p, (child, w2, e2, v2, f2)) for p, w2, e2 in ls]
+        return tid
 
-    memo: dict[tuple, tuple[int, tuple[TraceStep, ...]] | None] = {}
-
-    def loss(node, Lw, Lenv, Rv, Renv) -> tuple[int, tuple[TraceStep, ...]] | None:
-        """None when the survivor wins from here, else (depth, line)."""
-        if not agree(Lw, Lenv, Rv, Renv):
-            return 0, ()
-        key = (id(node), Lw, Lenv, Rv, Renv)
-        if key in memo:
-            return memo[key]
-        best = None
-        for i, label, side, target, answers in options(node, Lw, Lenv, Rv, Renv):
-            deepest = None  # (depth, answer, line) of the survivor's best answer
-            for eloise, reply in answers:
-                sub = loss(*reply)
-                if sub is None:
-                    break  # this answer survives: the option is refuted
-                if deepest is None or sub[0] > deepest[0]:
-                    deepest = (sub[0], eloise, sub[1])
-            else:
-                depth, eloise, line = deepest or (0, None, ())
-                if best is None or depth + 1 < best[0]:
-                    best = (depth + 1, (TraceStep(i, edge_text(label), side, target, eloise),) + line)
-        memo[key] = best
-        return best
-
-    found = loss(tr, left.current, (), right.current, ())
-    if found is None:
+    Lmemo: dict = {}
+    Rmemo = Lmemo if Lm == Rm else {}  # equal models give equal types
+    a = type_pass(Lm, Lmemo)(tr, left.current, ())
+    b = type_pass(Rm, Rmemo)(tr, right.current, ())
+    if a == b:
         return EfResult("eloise")
-    return EfResult("abelard", found[1], found[0])
+    types, ranks = list(table), {}
+
+    def rank(node, a: int, b: int) -> int:
+        """The fewest rounds to a loss from distinct types `a` and `b`."""
+        key = (id(node), a, b) if a < b else (id(node), b, a)
+        got = ranks.get(key)
+        if got is not None:
+            return got
+        ta, tb = types[a], types[b]
+        got = 0
+        if ta[:2] == tb[:2]:  # the property holds, so some child entry differs
+            depths = []
+            for (label, child), A, B in zip(node.children, ta[2:], tb[2:]):
+                if A != B and not _holds_a_set(label):
+                    depths.append(rank(child, A, B))
+                elif A != B:
+                    for X, Y in ((A, B), (B, A)):
+                        for p in X - Y:  # an option on one side no answer matches
+                            deepest = 0
+                            for q in Y:
+                                deepest = max(deepest, rank(child, p, q))
+                            depths.append(deepest)
+            got = 1 + min(depths)
+        ranks[key] = got
+        return got
+
+    def step(node, Lc, Rc, depth: int):
+        """The first option of rank `depth` at the position (node, left
+        configuration, right configuration), with its first answer of
+        greatest rank: the trace step and the position it leads to."""
+        for i, (label, child) in enumerate(node.children):
+            ls = [(p, Lmemo[id(child), w, e], (w, e)) for p, w, e in _moves(Lm, Lm.succ, node, label, *Lc)]
+            rs = [(q, Rmemo[id(child), v, f], (v, f)) for q, v, f in _moves(Rm, Rm.succ, node, label, *Rc)]
+            if _holds_a_set(label):
+                options = [("left", x, rs) for x in ls] + [("right", y, ls) for y in rs]
+            else:
+                options = [(None, ls[0], rs)]
+            for side, (target, t, c), answers in options:
+                sub = [rank(child, t, u) for _, u, _ in answers if u != t]
+                if len(sub) < len(answers) or 1 + max(sub, default=0) != depth:
+                    continue  # some answer survives, or the option is slower
+                # the line ends here if the survivor has no answer
+                eloise, _, cfg = answers[sub.index(max(sub))] if sub else (None, None, None)
+                pos = (child, cfg, c) if side == "right" else (child, c, cfg)
+                return TraceStep(i, edge_text(label), side, target, eloise), pos
+        raise AssertionError("no option realises the rank")
+
+    depth = rank(tr, a, b)
+    trace, pos = [], (tr, (left.current, ()), (right.current, ()))
+    for d in range(depth, 0, -1):
+        s, pos = step(*pos, d)
+        trace.append(s)
+    return EfResult("abelard", tuple(trace), depth)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,17 @@ class TestGame:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("edge, expected", [("idle", 0), ("dia l", 1), ("down", 0)])
+    def test_deep_chain_trees(self, demo_dir, capsys, edge, expected):
+        # the solver recurses once per tree level, and 900 levels fit the
+        # interpreter's default recursion limit
+        code, _ = run(
+            capsys, "game", "--fragment", "diamond,store", "--tree", f"({edge} " * 900 + "leaf" + ")" * 900,
+            "--left", str(demo_dir / "loop.json") + ":0",
+            "--right", str(demo_dir / "unrolled.json") + ":0",
+        )
+        assert code == expected
+
 
 class TestCharform:
     def test_lowered_output_parses(self, demo_dir, capsys):

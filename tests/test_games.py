@@ -43,7 +43,7 @@ from hdpl.games import (
     start_game,
     predicted_theta_size,
 )
-from hdpl.kripke import PointedModel, generate_random_model
+from hdpl.kripke import PointedModel, generate_random_model, model_from_dict, model_to_dict
 from hdpl.syntax import (
     FragmentConfig,
     Nom,
@@ -55,6 +55,7 @@ from hdpl.syntax import (
     parse_sentence,
     print_sentence,
 )
+from oracle_ef import oracle_ef_solve
 from support import prune_to_height
 
 SIG = fx.SIG_P
@@ -371,6 +372,40 @@ class TestSharedSubtrees:
             f = rng.choice(FRAGMENTS)
             tr = parse_tree(print_tree(random_tree(rng, sig, f, (Rel("l"),))), sig, f)
             self.assert_same_results(tr, *agreeing_pair(rng, sig, 3))
+
+
+class TestEfOracle:
+    """`ef_solve` compares per-side type ids; `oracle_ef.py` searches the
+    product of both sides. Verdict, trace and loss depth must be equal."""
+
+    def test_random_corpus(self):
+        rng = random.Random(19)
+        lines = 0
+        for k in range(3000):
+            f = FRAGMENTS[k % len(FRAGMENTS)]
+            sig = small_signature(rng)
+            tr = random_tree(rng, sig, f, default_actions(f), max_height=4, theta_cap=10**6)
+            if k % 2:
+                tr = observing_tree(tr)
+            left, right = agreeing_pair(rng, sig, 5)  # sometimes one model object
+            if k % 5 == 0:  # equal models, two objects
+                right = PointedModel(model_from_dict(model_to_dict(left.model)), rng.choice(left.model.states))
+            res = ef_solve(tr, left, right)
+            assert res == oracle_ef_solve(tr, left, right), (k, print_tree(tr))
+            lines += res.winner == "abelard" and res.loss_depth > 0
+        assert lines > 300  # losing lines of one round or more
+
+    @pytest.mark.parametrize("fragment, actions", FINITE_GAMES, ids=[f for f, _ in FINITE_GAMES])
+    def test_complete_trees_of_the_finite_games(self, fragment, actions):
+        f = FragmentConfig.parse(fragment)
+        rng = random.Random(fragment)
+        for height in (2, 3):
+            for max_states in (2, 3, 4, 5):
+                for _ in range(6):
+                    sig = small_signature(rng)
+                    tr = complete_tree(sig, f, height, actions)
+                    left, right = agreeing_pair(rng, sig, max_states)
+                    assert ef_solve(tr, left, right) == oracle_ef_solve(tr, left, right)
 
 
 class TestRoundStepping:
