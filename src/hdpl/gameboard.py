@@ -245,38 +245,33 @@ def print_tree(tr: GameboardTree) -> str:
 
 def parse_tree(text: str, sig: Signature, frag: FragmentConfig | None = None) -> GameboardTree:
     """Parse the text format against a root signature, in one loop over the
-    tokens. Each distinct subtree is built once, so equal subtrees of the
-    result are one object, and a subtree whose text was parsed before under
-    the same signature is looked up, not parsed again. If a fragment is
-    given, the result is validated and an invalid tree raises TreeError."""
+    tokens with an explicit stack, so trees may nest as deeply as memory
+    allows. Each distinct subtree is built once, so equal subtrees of the
+    result are one object. If a fragment is given, the result is validated
+    and an invalid tree raises TreeError."""
     ts = _TokenStream(text)
     toks = ts.tokens
-    close, span = _spans(toks)
     # keys hold a signature by id, as one call meets one per binding depth
     nodes: dict = {}  # (signature id, children) -> node
-    done: dict = {}  # (signature id, span id) -> the node parsed from that span
     edges: dict = {}  # (kind, arg) -> Edge
-    stack: list = []  # open nodes, innermost last: [signature, "(" index, branch?, children]
+    stack: list = []  # open nodes, innermost last: [signature, branch?, children]
     i = 0
     while True:
         tok = toks[i]
-        if tok == "(" and (node := done.get((id(sig), span.get(i)))) is None:
+        if tok == "(":
             branch = toks[i + 1] == "branch"
             if branch and toks[i + 2] != "(":
                 ts.fail("branch needs at least one edge", i + 2)
-            stack.append([sig, i, branch, []])
+            stack.append([sig, branch, []])
             i += 3 if branch else 1
         else:
-            if tok == "(":
-                i = close[i] + 1
-            elif tok == "leaf":
-                i += 1
-                key = (id(sig), ())
-                node = nodes.get(key) or nodes.setdefault(key, GameboardTree(sig, ()))
-            else:
+            if tok != "leaf":
                 ts.fail(f"expected 'leaf' or '(', found {tok!r}", i)
+            i += 1
+            key = (id(sig), ())
+            node = nodes.get(key) or nodes.setdefault(key, GameboardTree(sig, ()))
             while stack:  # `node` is the child of the innermost open node's last edge
-                sig, start, branch, children = stack[-1]
+                sig, branch, children = stack[-1]
                 children[-1] = (children[-1], node)
                 if toks[i] != ")":
                     ts.fail(f"expected ')', found {toks[i]!r}", i)
@@ -289,8 +284,6 @@ def parse_tree(text: str, sig: Signature, frag: FragmentConfig | None = None) ->
                 stack.pop()
                 key = (id(sig), tuple(children))
                 node = nodes.get(key) or nodes.setdefault(key, GameboardTree(sig, key[1]))
-                if close.get(start) == i - 1:  # parsed cleanly, up to its ")"
-                    done[id(sig), span[start]] = node
             else:
                 break
         # an edge of the innermost open node starts at token i: its label
@@ -308,7 +301,7 @@ def parse_tree(text: str, sig: Signature, frag: FragmentConfig | None = None) ->
             ts.ident("edge kind")
             ts.fail(f"unknown edge kind {kind!r}", i)
         i = ts.i
-        stack[-1][3].append(edges.get((kind, arg)) or edges.setdefault((kind, arg), Edge(kind, arg)))
+        stack[-1][2].append(edges.get((kind, arg)) or edges.setdefault((kind, arg), Edge(kind, arg)))
         sig = child_signature(sig, kind)
     if toks[i] is not None:
         ts.fail(f"trailing input {toks[i]!r}", i)
@@ -321,27 +314,3 @@ def parse_tree(text: str, sig: Signature, frag: FragmentConfig | None = None) ->
 
 _ALL_ACTIONS = FragmentConfig.full()
 
-
-def _spans(toks: list) -> tuple[dict[int, int], dict[int, int]]:
-    """For each "(" with a matching ")": the index of that ")", and an id
-    that two such spans share iff their token texts are equal. A span's id
-    is that of its tokens with each inner span replaced by its id, so the
-    work is linear in the tokens."""
-    close: dict[int, int] = {}
-    span: dict[int, int] = {}
-    ids: dict[tuple, int] = {}
-    opened: list = []
-    items: list = []
-    for j, t in enumerate(toks):
-        if t == "(":
-            opened.append((j, items))
-            items = []
-        elif t == ")" and opened:
-            i, outer = opened.pop()
-            close[i] = j
-            span[i] = ids.setdefault(tuple(items), len(ids))
-            items = outer
-            items.append(span[i])
-        else:
-            items.append(t)
-    return close, span

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator, Set
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 from .checker import SignatureMismatchError, basic_agreement
@@ -36,7 +36,6 @@ from .kripke import (
     find_isomorphism,
     is_rooted,
     star_pairs,
-    successor_map,
 )
 from .syntax import (
     Action,
@@ -123,15 +122,19 @@ def action_pair_closure(
 def _action_steps(frag: FragmentConfig, m: KripkeModel, n: KripkeModel) -> list[tuple[str, dict, dict]]:
     """(r, left successor map, right successor map) for each relation name r
     of the signature, in signature order; none when the fragment has no
-    diamond."""
+    diamond. The maps are the models' cached ones."""
     if m.sig.relations != n.sig.relations:
         raise SignatureMismatchError("models must share relation names")
     if "diamond" not in frag.ops:
         return []
-    return [
-        (r, successor_map(m.relation_interp[r], m.states), successor_map(n.relation_interp[r], n.states))
-        for r in m.sig.relations
-    ]
+    return [(r, m.succ[Rel(r)], n.succ[Rel(r)]) for r in m.sig.relations]
+
+
+def _numbered(m: KripkeModel, r: str, names) -> list[list[int]]:
+    """Relation r of m as a table over the state order `names`: per state,
+    its successors' numbers in `names`, in model order."""
+    at, pairs = {w: i for i, w in enumerate(names)}, m.relation_interp[r]
+    return [[at[x] for x in m.states if (w, x) in pairs] for w in names]
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +174,8 @@ class _Arena:
 
     @cached_property
     def steps(self) -> list[tuple[list[list[int]], list[list[int]]]]:
-        def table(model, names, r):  # per state, its successors' numbers in model order
-            pairs = model.relation_interp[r]
-            return [[names.index(x) for x in model.states if (s, x) in pairs] for s in names]
-
         rels = self.m.sig.relations if "diamond" in self.frag.ops else ()
-        return [(table(self.m, self.left, r), table(self.n, self.right, r)) for r in rels]
+        return [(_numbered(self.m, r, self.left), _numbered(self.n, r, self.right)) for r in rels]
 
     @cached_property
     def conflict(self) -> list[int]:
@@ -649,7 +648,6 @@ def max_back_and_forth(frag: FragmentConfig, m: KripkeModel, n: KripkeModel) -> 
         raise SignatureMismatchError("models must share a signature")
     left, right = m.states, n.states
     lidx = {w: i for i, w in enumerate(left)}
-    ridx = {v: u for u, v in enumerate(right)}
     weight = [(len(right) + 1) ** i for i in range(len(left))]
     agree = basic_agreement(m, n)
     partners = [[u for u, v in enumerate(right) if agree[(w, v)]] for w in left]
@@ -657,10 +655,8 @@ def max_back_and_forth(frag: FragmentConfig, m: KripkeModel, n: KripkeModel) -> 
     ext = [[(u + 1) * weight[i] for u in partners[i]] for i in range(len(left))]
     back_ext = [[(i, (u + 1) * weight[i]) for i in range(len(left)) if u in partners[i]] for u in range(len(right))]
 
-    steps = [
-        ([tuple(lidx[x] for x in sl[w]) for w in left], [tuple(ridx[y] for y in sr[v]) for v in right])
-        for _, sl, sr in _action_steps(frag, m, n)
-    ]
+    rels = m.sig.relations if "diamond" in frag.ops else ()
+    steps = [(_numbered(m, r, left), _numbered(n, r, right)) for r in rels]
     exists = "exists" in frag.ops
     # left states the map must cover: every state under exists, the nominals' under at
     if exists:
@@ -782,13 +778,7 @@ class HennessyMilnerReport:
 
     def to_dict(self) -> dict:
         return {
-            "fragment": self.fragment,
-            "heights": list(self.heights),
-            "char_equal_per_height": list(self.char_equal_per_height),
-            "elementary_proxy": self.elementary_proxy,
-            "omega_equivalent": self.omega_equivalent,
-            "bf_equivalent": self.bf_equivalent,
-            "hypotheses_met": self.hypotheses_met,
+            **asdict(self),
             "proxy_matches_omega": self.proxy_matches_omega,
             "bf_matches_omega": self.bf_matches_omega,
             "divergence_expected": self.divergence_expected,
@@ -871,13 +861,7 @@ class RootedIsoReport:
         return self.isomorphic == self.omega_equivalent
 
     def to_dict(self) -> dict:
-        return {
-            "fragment": self.fragment,
-            "isomorphic": self.isomorphic,
-            "omega_equivalent": self.omega_equivalent,
-            "isomorphism": list(self.isomorphism) if self.isomorphism else None,
-            "agree": self.agree,
-        }
+        return {**asdict(self), "agree": self.agree}
 
 
 def rooted_iso_check(

@@ -242,8 +242,19 @@ class TestOmegaCommands:
             "--right", str(demo_dir / "fork_r.json") + ":0",
         )
         assert code == 0
-        assert data["omega_equivalent"] and not data["bf_equivalent"]
-        assert data["divergence_expected"]
+        assert data == {
+            "command": "hm",
+            "fragment": "diamond,store",
+            "heights": [1],
+            "char_equal_per_height": [True],
+            "elementary_proxy": True,
+            "omega_equivalent": True,
+            "bf_equivalent": False,
+            "hypotheses_met": False,
+            "proxy_matches_omega": True,
+            "bf_matches_omega": False,
+            "divergence_expected": True,
+        }
 
     def test_rootediso(self, demo_dir, capsys):
         code, data = run_json(
@@ -252,7 +263,27 @@ class TestOmegaCommands:
             "--right", str(demo_dir / "fork_r.json") + ":0",
         )
         assert code == 0
-        assert data["agree"] and not data["isomorphic"]
+        assert data == {
+            "command": "rootediso",
+            "fragment": "diamond,at,store",
+            "isomorphic": False,
+            "omega_equivalent": False,
+            "isomorphism": None,
+            "agree": True,
+        }
+
+    def test_rootediso_self_pair(self, demo_dir, capsys):
+        chain = str(demo_dir / "chain3.json") + ":s0"
+        code, data = run_json(capsys, "rootediso", "--left", chain, "--right", chain)
+        assert code == 0
+        assert data == {
+            "command": "rootediso",
+            "fragment": "diamond,at,store",
+            "isomorphic": True,
+            "omega_equivalent": True,
+            "isomorphism": [["s0", "s0"], ["s1", "s1"], ["s2", "s2"]],
+            "agree": True,
+        }
 
     def test_iso_absent(self, demo_dir, capsys):
         code, out = run(
