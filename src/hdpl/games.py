@@ -188,39 +188,69 @@ def _moves(m: KripkeModel, succ: Successors, node: GameboardTree, label: Edge, w
     return [(None, w, env)]  # idle
 
 
-def char_formula(tr: GameboardTree, pm: PointedModel) -> GameSentence:
-    """The unique game sentence over `tr` the pointed model satisfies, built
-    constructively with shared sub-results. A store or exists edge binds its
-    variable by appending a state to the environment (see `_point`), not by
-    expanding the model."""
-    m = pm.model
-    if m.sig != tr.sig:
-        raise SignatureMismatchError("model signature differs from tree root signature")
-    succ = m.succ
-    memo: dict[tuple, GameSentence] = {}
+def _type_pass(m: KripkeModel, table: dict[tuple, int], memo: dict):
+    """The type id of a configuration (node, state, environment; see
+    `_point`) of `m`, memoised in `memo` per configuration. A type is the
+    node, the state's basic profile, which environment states equal it, and
+    per child edge the child's id, or on a dia or exists edge the set of
+    child ids; `table` maps each type to its id, in order of first visit, so
+    a type's children have smaller ids. By induction over the tree two
+    configurations get one id iff they satisfy the same game sentence. The
+    recursion takes one frame per tree level."""
+    succ, states, profile = m.succ, m.states, basic_profiles(m)
 
-    def char(node: GameboardTree, w: str, env: tuple[str, ...]) -> GameSentence:
+    def tid(node: GameboardTree, w: str, env: tuple[str, ...]) -> int:
         key = (id(node), w, env)
         got = memo.get(key)
         if got is not None:
             return got
-        if not node.children:
-            res: GameSentence = GSLeaf(
-                tuple(
-                    (b, _point(m, node, env, b.name) == w if isinstance(b, Nom) else b.name in m.valuation[w])
-                    for b in basic_sentences(node.sig)
-                )
-            )
-        else:
-            parts = []
-            for label, child in node.children:
-                members = [char(child, v, e) for _, v, e in _moves(m, succ, node, label, w, env)]
-                parts.append(GSPart(label, _bound_var(label, child), gs_set(members)))
-            res = GSNode(tuple(parts))
-        memo[key] = res
-        return res
+        entries = [node, profile[w], tuple([e == w for e in env])]
+        for (kind, arg), child in node.children:
+            if kind == "dia":
+                ids = set()
+                for v in succ[arg][w]:
+                    ids.add(tid(child, v, env))
+                entries.append(frozenset(ids))
+            elif kind == "exists":
+                ids = set()
+                for v in states:
+                    ids.add(tid(child, w, env + (v,)))
+                entries.append(frozenset(ids))
+            elif kind == "at":
+                entries.append(tid(child, _point(m, node, env, arg), env))
+            else:  # down or idle
+                entries.append(tid(child, w, env + (w,) if kind == "down" else env))
+        got = memo[key] = table.setdefault(tuple(entries), len(table))
+        return got
 
-    return char(tr, pm.current, ())
+    return tid
+
+
+def char_formula(tr: GameboardTree, pm: PointedModel) -> GameSentence:
+    """The unique game sentence over `tr` the pointed model satisfies: one
+    type pass, then one game sentence per type in id order, each built from
+    its children's, which come earlier."""
+    m = pm.model
+    if m.sig != tr.sig:
+        raise SignatureMismatchError("model signature differs from tree root signature")
+    table: dict[tuple, int] = {}
+    root = _type_pass(m, table, {})(tr, pm.current, ())
+    built: list[GameSentence] = []
+    for node, (props, names), eq, *entries in table:
+        if not node.children:
+            bound = node.sig.bound_vars
+            inner = dict(zip(bound[len(bound) - len(eq):], eq))  # the variables the tree binds
+            built.append(GSLeaf(tuple(
+                (b, inner.get(b.name, b.name in names) if isinstance(b, Nom) else b.name in props)
+                for b in basic_sentences(node.sig)
+            )))
+            continue
+        parts = []
+        for (label, child), got in zip(node.children, entries):
+            members = gs_set([built[i] for i in got]) if _holds_a_set(label) else (built[got],)
+            parts.append(GSPart(label, _bound_var(label, child), members))
+        built.append(GSNode(tuple(parts)))
+    return built[root]
 
 
 # ---------------------------------------------------------------------------
@@ -299,76 +329,45 @@ def ef_solve(tr: GameboardTree, left: PointedModel, right: PointedModel) -> EfRe
     property holds now and every challenger option on either model has a
     matching answer on the other.
 
-    Each side's configurations (node, state, environment; see `_point`) get
-    ids from one shared table of types: a type is the state's basic profile,
-    which environment states equal it, and per child edge the child's type,
-    or on a dia or exists edge the set of child types. By induction over the
-    tree the survivor wins iff the two roots get one id. Else `rank` over
-    type pairs gives the fewest rounds the challenger needs (`loss_depth`),
-    and a walk from the root a replayable line: the challenger takes the
-    first option of that rank, the survivor the first answer of greatest
-    rank, so the line ends in a violation or in a round with no answer."""
+    Each side's configurations get ids from one table of types (see
+    `_type_pass`), and the survivor wins iff the two roots get one id. Else
+    `rank` over type pairs gives the fewest rounds the challenger needs
+    (`loss_depth`), and a walk from the root a replayable line: the
+    challenger takes the first option of that rank, the survivor the first
+    answer of greatest rank, so the line ends in a violation or in a round
+    with no answer."""
     Lm, Rm = left.model, right.model
     if Lm.sig != tr.sig or Rm.sig != tr.sig:
         raise SignatureMismatchError("both models must share the tree root signature")
-    table: dict[tuple, int] = {}  # type -> id, ids in order of first visit
-
-    def type_pass(m: KripkeModel, memo: dict):
-        succ, states, profile = m.succ, m.states, basic_profiles(m)
-
-        def tid(node, w, env) -> int:
-            key = (id(node), w, env)
-            got = memo.get(key)
-            if got is not None:
-                return got
-            entries = [profile[w], tuple([e == w for e in env])]
-            for (kind, arg), child in node.children:
-                if kind == "dia":
-                    ids = set()
-                    for v in succ[arg][w]:
-                        ids.add(tid(child, v, env))
-                    entries.append(frozenset(ids))
-                elif kind == "exists":
-                    ids = set()
-                    for v in states:
-                        ids.add(tid(child, w, env + (v,)))
-                    entries.append(frozenset(ids))
-                elif kind == "at":
-                    entries.append(tid(child, _point(m, node, env, arg), env))
-                else:  # down or idle
-                    entries.append(tid(child, w, env + (w,) if kind == "down" else env))
-            got = memo[key] = table.setdefault(tuple(entries), len(table))
-            return got
-
-        return tid
-
+    table: dict[tuple, int] = {}
     Lmemo: dict = {}
     Rmemo = Lmemo if Lm == Rm else {}  # equal models give equal types
-    a = type_pass(Lm, Lmemo)(tr, left.current, ())
-    b = type_pass(Rm, Rmemo)(tr, right.current, ())
+    a = _type_pass(Lm, table, Lmemo)(tr, left.current, ())
+    b = _type_pass(Rm, table, Rmemo)(tr, right.current, ())
     if a == b:
         return EfResult("eloise")
     types, ranks = list(table), {}
 
-    def rank(node, a: int, b: int) -> int:
-        """The fewest rounds to a loss from distinct types `a` and `b`."""
-        key = (id(node), a, b) if a < b else (id(node), b, a)
+    def rank(a: int, b: int) -> int:
+        """The fewest rounds to a loss from distinct types `a` and `b` of
+        one node."""
+        key = (a, b) if a < b else (b, a)
         got = ranks.get(key)
         if got is not None:
             return got
         ta, tb = types[a], types[b]
         got = 0
-        if ta[:2] == tb[:2]:  # the property holds, so some child entry differs
+        if ta[:3] == tb[:3]:  # the property holds, so some child entry differs
             depths = []
-            for (label, child), A, B in zip(node.children, ta[2:], tb[2:]):
+            for (label, _), A, B in zip(ta[0].children, ta[3:], tb[3:]):
                 if A != B and not _holds_a_set(label):
-                    depths.append(rank(child, A, B))
+                    depths.append(rank(A, B))
                 elif A != B:
                     for X, Y in ((A, B), (B, A)):
                         for p in X - Y:  # an option on one side no answer matches
                             deepest = 0
                             for q in Y:
-                                deepest = max(deepest, rank(child, p, q))
+                                deepest = max(deepest, rank(p, q))
                             depths.append(deepest)
             got = 1 + min(depths)
         ranks[key] = got
@@ -386,7 +385,7 @@ def ef_solve(tr: GameboardTree, left: PointedModel, right: PointedModel) -> EfRe
             else:
                 options = [(None, ls[0], rs)]
             for side, (target, t, c), answers in options:
-                sub = [rank(child, t, u) for _, u, _ in answers if u != t]
+                sub = [rank(t, u) for _, u, _ in answers if u != t]
                 if len(sub) < len(answers) or 1 + max(sub, default=0) != depth:
                     continue  # some answer survives, or the option is slower
                 # the line ends here if the survivor has no answer
@@ -395,7 +394,7 @@ def ef_solve(tr: GameboardTree, left: PointedModel, right: PointedModel) -> EfRe
                 return TraceStep(i, edge_text(label), side, target, eloise), pos
         raise AssertionError("no option realises the rank")
 
-    depth = rank(tr, a, b)
+    depth = rank(a, b)
     trace, pos = [], (tr, (left.current, ()), (right.current, ()))
     for d in range(depth, 0, -1):
         s, pos = step(*pos, d)

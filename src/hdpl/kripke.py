@@ -158,11 +158,15 @@ def interpret_action(m: KripkeModel, a: Action) -> frozenset[StatePair]:
 
 
 def successor_map(pairs: frozenset[StatePair], states: tuple[str, ...]) -> dict[str, tuple[str, ...]]:
-    by_src: dict[str, list[str]] = {w: [] for w in states}
+    """Each state's successors in model order, from the pairs grouped by target."""
+    by_dst: dict[str, list[str]] = {w: [] for w in states}
     for a, b in pairs:
-        by_src[a].append(b)
-    order = {w: i for i, w in enumerate(states)}
-    return {w: tuple(sorted(vs, key=order.__getitem__)) for w, vs in by_src.items()}
+        by_dst[b].append(a)
+    by_src: dict[str, list[str]] = {w: [] for w in states}
+    for b in states:
+        for a in by_dst[b]:
+            by_src[a].append(b)
+    return {w: tuple(vs) for w, vs in by_src.items()}
 
 
 class Successors(dict):

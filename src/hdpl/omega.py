@@ -6,12 +6,12 @@ back-and-forth systems, and the image-finite / rooted-model report harnesses.
 Arena positions abstract the two players' naming histories into a set of
 named state correspondences plus the current pair, coded as one int: with
 the states numbered in name order, mask bit c names pair c, so named pairs
-are tried in sorted order and the search, its dead positions and the
-stabilization height are the same in every process. The safety condition
-(basic agreement of the current pair, consistent with every named pair) is
-one mask test. A challenger option is a row (base, codes) of replies base |
-code, made when a search reaches it; a solve restarts only when a disproof
-voids an answer it relied on. Results decode positions on iteration.
+are tried in sorted order and the search and its dead positions are the
+same in every process. The safety condition (basic agreement of the current
+pair, consistent with every named pair) is one mask test. A challenger
+option is a row (base, codes) of replies base | code, made when a search
+reaches it; a solve restarts only when a disproof voids an answer it relied
+on. Results decode positions on iteration.
 
 Every solver moves along the base relations only, whatever constructors the
 fragment enables: a diamond move keeps the named correspondences, so a
@@ -28,7 +28,7 @@ from functools import cached_property
 
 from .checker import SignatureMismatchError, basic_agreement
 from .gameboard import complete_tree
-from .games import char_formula
+from .games import ef_solve
 from .kripke import (
     KripkeModel,
     PointedModel,
@@ -267,13 +267,13 @@ class OmegaResult:
     def init(self) -> tuple[frozenset[Pair], Pair]:
         return self._arena.decode(self.start)
 
-    def _rank(self, pos: int, limit: int | None = None) -> int | None:
-        """The first depth below `limit` at which the survivor cannot last
-        from `pos` (the challenger's exact rounds-to-violation), or None.
-        Each depth is a bounded game search over the reply rows, on a stack
-        of frames [pos, depth, rows, base, codes, reply_index]."""
+    def _rank(self, pos: int) -> int:
+        """The first depth at which the survivor cannot last from `pos` (the
+        challenger's exact rounds-to-violation), for a dead `pos`. Each
+        depth is a bounded game search over the reply rows, on a stack of
+        frames [pos, depth, rows, base, codes, reply_index]."""
         prop, options, memo = self._arena.prop, self._arena.options, self._memo
-        for depth in itertools.count() if limit is None else range(limit):
+        for depth in itertools.count():
             if (pos, depth) not in memo:
                 rows = options(pos)
                 stack = [[pos, depth, rows, *next(rows, _SPENT), 0]] if depth and prop(pos) else []
@@ -300,26 +300,11 @@ class OmegaResult:
                         f[5] = j + 1
             if not memo.setdefault((pos, depth), prop(pos)):
                 return depth
-        return None
 
     def loss_rank(self) -> int | None:
         """Minimal number of rounds within which the challenger can force a
         violation; None on a survivor win."""
         return self._rank(self.start) if self.winner == "abelard" else None
-
-    def stabilization_height(self, cap: int = 8) -> int:
-        """The tree height at which verdicts stop changing, capped at `cap`:
-        the loss rank on a challenger win, otherwise 1 + the largest rank of
-        a position disproven on the explored arena."""
-        if self.winner == "abelard":
-            return max(1, min(self.loss_rank(), cap))
-        height = 1
-        for pos in self.dead.codes:
-            if height >= cap:
-                break
-            rank = self._rank(pos, cap - 1)
-            height = max(height, cap if rank is None else 1 + rank)
-        return max(1, min(height, cap))
 
 
 def omega_solve(frag: FragmentConfig, left: PointedModel, right: PointedModel) -> OmegaResult:
@@ -823,9 +808,10 @@ def hennessy_milner_check(
     right: PointedModel,
     frag: FragmentConfig,
 ) -> HennessyMilnerReport:
-    """Compare (a) characteristic-formula agreement on complete trees up to
-    the solver's stabilization height, (b) the countable-game verdict, and
-    (c) back-and-forth relatedness, for a quantifier-free fragment."""
+    """Compare (a) the finite games on complete trees of every height up to
+    8 that stays within the node budget, which the survivor wins iff the
+    characteristic formulas agree, (b) the countable-game verdict, and (c)
+    back-and-forth relatedness, for a quantifier-free fragment."""
     if "exists" in frag.ops:
         raise OmegaError("the image-finite harness is for quantifier-free fragments")
     res = omega_solve(frag, left, right)
@@ -833,11 +819,11 @@ def hennessy_milner_check(
     tree_frag = frag if actions or "diamond" not in frag.ops else FragmentConfig(
         frag.ops - {"diamond"}, frozenset()
     )
-    height = _feasible_height(left.model.sig, tree_frag, res.stabilization_height())
+    height = _feasible_height(left.model.sig, tree_frag, 8)
     per_height = []
     for h in range(1, height + 1):
         tr = complete_tree(left.model.sig, tree_frag, h, actions)
-        per_height.append(char_formula(tr, left) == char_formula(tr, right))
+        per_height.append(ef_solve(tr, left, right).winner == "eloise")
     return HennessyMilnerReport(
         fragment=frag.describe(),
         heights=tuple(range(1, height + 1)),

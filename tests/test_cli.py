@@ -245,8 +245,8 @@ class TestOmegaCommands:
         assert data == {
             "command": "hm",
             "fragment": "diamond,store",
-            "heights": [1],
-            "char_equal_per_height": [True],
+            "heights": [1, 2, 3, 4, 5, 6, 7, 8],
+            "char_equal_per_height": [True] * 8,
             "elementary_proxy": True,
             "omega_equivalent": True,
             "bf_equivalent": False,

@@ -55,6 +55,7 @@ from hdpl.syntax import (
     parse_sentence,
     print_sentence,
 )
+from oracle_char import oracle_char_formula
 from oracle_ef import oracle_ef_solve
 from support import prune_to_height
 
@@ -406,6 +407,36 @@ class TestEfOracle:
                     tr = complete_tree(sig, f, height, actions)
                     left, right = agreeing_pair(rng, sig, max_states)
                     assert ef_solve(tr, left, right) == oracle_ef_solve(tr, left, right)
+
+
+class TestCharOracle:
+    """`char_formula` builds one game sentence per type of the type pass;
+    `oracle_char.py` builds one per configuration by recursion. The game
+    sentences and their texts must be equal."""
+
+    def assert_same(self, tr, pm):
+        got, want = char_formula(tr, pm), oracle_char_formula(tr, pm)
+        assert got == want and gs_text(got) == gs_text(want), print_tree(tr)
+
+    def test_random_corpus(self):
+        rng = random.Random(21)
+        for k in range(1500):
+            f = FRAGMENTS[k % len(FRAGMENTS)]
+            sig = small_signature(rng)
+            tr = random_tree(rng, sig, f, default_actions(f), max_height=4, theta_cap=10**6)
+            m, n = random_model_pair(rng, sig, max_states=4)
+            for model in (m, n):
+                self.assert_same(tr, PointedModel(model, rng.choice(model.states)))
+
+    @pytest.mark.parametrize("f", FRAGMENTS, ids=[f.describe() for f in FRAGMENTS])
+    def test_complete_trees(self, f):
+        rng = random.Random(f.describe())
+        for height in (1, 2, 3):
+            for _ in range(6):
+                sig = small_signature(rng)
+                tr = complete_tree(sig, f, height, default_actions(f))
+                m, _ = random_model_pair(rng, sig, max_states=4)
+                self.assert_same(tr, PointedModel(m, rng.choice(m.states)))
 
 
 class TestRoundStepping:

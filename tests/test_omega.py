@@ -9,9 +9,10 @@ import pytest
 
 import hdpl
 from hdpl import fixtures as fx
+from hdpl.checker import basic_agreement
 from hdpl.corpus import FRAGMENTS, random_model_pair, small_signature
 from hdpl.gameboard import complete_tree
-from hdpl.games import char_formula
+from hdpl.games import char_formula, ef_solve
 from hdpl.kripke import (
     KripkeModel,
     PointedModel,
@@ -24,6 +25,7 @@ from hdpl.omega import (
     LBisimFamily,
     _Arena,
     OmegaError,
+    _feasible_height,
     action_pair_closure,
     back_and_forth_hypotheses,
     bf_related,
@@ -173,7 +175,7 @@ class TestOmegaSolve:
             "    pm = PointedModel(m, rng.choice(m.states))\n"
             "    res = omega_solve(f, pm, pm)\n"
             "    dead = sorted((sorted(named), pair) for named, pair in res.dead)\n"
-            "    print(dead, res.loss_rank(), res.stabilization_height())\n"
+            "    print(dead, res.loss_rank())\n"
         )
         src = str(Path(hdpl.__file__).parents[1])
         outs = [
@@ -429,17 +431,23 @@ class TestHennessyMilner:
         with pytest.raises(OmegaError):
             hennessy_milner_check(left, right, DSE)
 
-    def test_height_is_one_plus_the_largest_exact_rank(self):
-        # every edge but the loop at s0: the disproved positions have ranks
-        # 0-2, among them ({(s2, s0)}, (s2, s0)) with rank 1
+    def test_heights_run_to_the_feasible_cap(self):
+        # every height up to 8 whose complete tree stays within the node
+        # budget, whatever the verdict; the finite games are lost from the
+        # loss rank on
         states = ["s0", "s1", "s2"]
         edges = [[a, b] for a in states for b in states if (a, b) != ("s0", "s0")]
         m = model_from_dict({"states": states, "relations": {"l": edges}, "props": {"p": states}})
         pm = PointedModel(m, "s1")
-        res = omega_solve(DAS, pm, pm)
-        assert res.eloise_wins and res.stabilization_height() == 3
-        report = hennessy_milner_check(pm, pm, DAS)
-        assert report.heights == (1, 2, 3) and report.elementary_proxy
+        left, right = fx.loop_pair(4)
+        for f, (lp, rp), heights in ((DS, (pm, pm), 8), (DAS, (pm, pm), 6), (DS, (left, right), 8)):
+            assert _feasible_height(lp.model.sig, f, 8) == heights
+            report = hennessy_milner_check(lp, rp, f)
+            assert report.heights == tuple(range(1, heights + 1))
+            rank = omega_solve(f, lp, rp).loss_rank()
+            expected = tuple(rank is None or h < rank for h in report.heights)
+            assert report.char_equal_per_height == expected
+        assert rank == 3 and not report.elementary_proxy
 
 
 class TestRootedIso:
@@ -780,6 +788,30 @@ class TestInvariants:
                     assert survives == [True] * rank + [False]
                     checked += 1
         assert checked > 100
+
+    def test_loss_rank_is_the_first_lost_complete_tree(self):
+        # the finite games on complete trees over the base relations share no
+        # code with the arena: the countable game is lost in `loss_rank`
+        # rounds iff that is the least height whose finite game is lost, and
+        # a survivor win loses no complete tree up to height 4
+        rng = random.Random(87)
+        wins = ranks = 0
+        for k in range(105):
+            f = FRAGMENTS[k % len(FRAGMENTS)]
+            sig = small_signature(rng)
+            m, n = random_model_pair(rng, sig, max_states=3)
+            # mostly starts that agree, so the game lasts a round or more
+            starts = [pair for pair, ok in basic_agreement(m, n).items() if ok or k % 5 == 0]
+            w, v = rng.choice(starts) if starts else (m.states[0], n.states[0])
+            left, right = PointedModel(m, w), PointedModel(n, v)
+            rank = omega_solve(f, left, right).loss_rank()
+            actions = tuple(Rel(r) for r in sig.relations)
+            heights = range(5) if rank is None else range(rank + 1)
+            lost = [ef_solve(complete_tree(sig, f, h, actions), left, right).winner == "abelard" for h in heights]
+            assert lost == [False] * 5 if rank is None else lost == [False] * rank + [True], (k, f.describe())
+            wins += rank is None
+            ranks += bool(rank)
+        assert wins > 30 and ranks > 30
 
     def test_bf_implies_win_and_equality_under_hypotheses(self):
         rng = random.Random(82)
