@@ -54,7 +54,7 @@ from .omega import (
     rooted_iso_check,
 )
 from .seqgame import seq_survives
-from .syntax import FragmentConfig, HdplError, Signature, parse_action, parse_sentence, print_sentence
+from .syntax import FragmentConfig, HdplError, Rel, Signature, parse_action, parse_sentence, print_sentence
 
 
 def _read_text(path: str) -> str:
@@ -348,9 +348,9 @@ def _cmd_fuzz(args) -> int:
     for case in range(args.cases):
         sig = small_signature(rng)
         frag = rng.choice(FRAGMENTS)
-        if args.suite == "fh":
-            # a pair that disagrees at the start is lost before any round, and
-            # the suite replays losing lines
+        if args.suite in ("fh", "ct"):
+            # a pair that disagrees at the start is lost before any round: fh
+            # replays losing lines, and ct compares ranks above 0
             left, right = _agreeing_start(rng, sig)
         else:
             m, n = random_model_pair(rng, sig, max_states=3)
@@ -408,6 +408,12 @@ def _cmd_fuzz(args) -> int:
                         # the losing line replays, through game_step, to a loss
                         end = replay_trace(watched, left, right, solved.trace)
                         ok = end.lost or (end.pending is not None and not legal_moves(end, "eloise"))
+            elif args.suite == "ct":
+                # loss_rank is the first lost complete-tree height; a win loses none up to 4
+                rank = omega_solve(frag, left, right).loss_rank()
+                heights = range(5 if rank is None else rank + 1)
+                trees = (complete_tree(sig, frag, h, tuple(map(Rel, sig.relations))) for h in heights)
+                ok = [ef_solve(tr, left, right).winner == "abelard" for tr in trees] == [h == rank for h in heights]
             else:
                 raise HdplError(f"unknown suite '{args.suite}'")
         except HdplError as exc:
@@ -547,7 +553,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--as", dest="play_as", choices=("abelard", "eloise"), required=True)
 
     p = add("fuzz", _cmd_fuzz, help="differential property suites")
-    p.add_argument("--suite", choices=("omega", "bf", "hm", "fh"), required=True)
+    p.add_argument("--suite", choices=("omega", "bf", "hm", "fh", "ct"), required=True)
     p.add_argument("--cases", type=_nonnegative_int, default=100)
     p.add_argument("--seed", type=int, default=0)
 

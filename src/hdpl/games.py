@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .checker import SignatureMismatchError, basic_profiles, game_property
-from .gameboard import KINDS, Edge, GameboardTree, edge_text, leaf
+from .gameboard import KINDS, Edge, GameboardTree, edge_text
 from .kripke import KripkeModel, PointedModel, Successors, expand, interpret_action
 from .syntax import (
     And,
@@ -545,23 +545,27 @@ def normal_form(s: Sentence, sig: Signature, frag: FragmentConfig) -> NormalForm
     if not report.ok:
         raise FragmentViolationError(report.violations[0][1])
     s = canonical_vars(s, sig)
+    nodes: dict[GameboardTree, GameboardTree] = {}
+
+    def node(scope: Signature, children: tuple = ()) -> GameboardTree:  # one object per distinct subtree
+        return nodes.setdefault(tree := GameboardTree(scope, children), tree)
 
     def rec(t: Sentence, scope: Signature) -> tuple[GameboardTree, Callable]:
         if isinstance(t, (Prop, Nom)):
             basics = basic_sentences(scope)
             idx = basics.index(t)
-            return leaf(scope), lambda g, i=idx: g.signs[i][1]
+            return node(scope), lambda g, i=idx: g.signs[i][1]
         if isinstance(t, Neg):
             tr, p = rec(t.body, scope)
             return tr, lambda g, p=p: not p(g)
         if isinstance(t, And):
             if not t.items:
-                return leaf(scope), lambda g: True
+                return node(scope), lambda g: True
             # group equal subtrees so idle branches stay pairwise distinct
             groups: dict[GameboardTree, list[Callable]] = {}
             for tr, p in (rec(item, scope) for item in t.items):
                 groups.setdefault(tr, []).append(p)
-            tree = GameboardTree(scope, tuple((Edge("idle"), gtr) for gtr in groups))
+            tree = node(scope, tuple((Edge("idle"), gtr) for gtr in groups))
             all_preds = list(groups.values())
 
             def pred(g, all_preds=all_preds):
@@ -585,7 +589,7 @@ def normal_form(s: Sentence, sig: Signature, frag: FragmentConfig) -> NormalForm
         # some member of the only part satisfies the body: exact on at and
         # store parts, which hold one member
         tr0, p = rec(t.body, inner)
-        return GameboardTree(scope, ((label, tr0),)), lambda g, p=p: any(p(m) for m in g.parts[0].members)
+        return node(scope, ((label, tr0),)), lambda g, p=p: any(p(m) for m in g.parts[0].members)
 
     tree, pred = rec(s, sig)
     return NormalForm(tree=tree, contains=pred, sentence=s)

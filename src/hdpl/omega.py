@@ -26,7 +26,7 @@ from collections.abc import Iterator, Set
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
-from .checker import SignatureMismatchError, basic_agreement
+from .checker import SignatureMismatchError, basic_agreement, basic_profiles
 from .gameboard import complete_tree
 from .games import ef_solve
 from .kripke import (
@@ -158,9 +158,11 @@ class _Arena:
         self.left, self.right = sorted(m.states), sorted(n.states)
         self.S = len(self.left) * len(self.right)
         self.low = (1 << self.S) - 1
-        agree = basic_agreement(m, n)
-        self.agree = [agree[(w, v)] for w in self.left for v in self.right]
+        ids, pl, pr = {}, basic_profiles(m), basic_profiles(n)  # profiles numbered per state of L, then of R
+        self.profiles = [ids.setdefault(p, len(ids)) for p in (*map(pl.get, self.left), *map(pr.get, self.right))]
+        self.agree = [a == b for a in self.profiles[: len(self.left)] for b in self.profiles[len(self.left) :]]
         self.templates: list[list[list[int]] | None] = [None] * self.S  # diamond and @k reply pairs
+        self.same_class: list[bool] | None = None
         nominals = m.sig.nominals if "at" in frag.ops else ()
         self.targets = [[self.code(m.nominal_interp[k], n.nominal_interp[k])] for k in nominals]  # @k replies
 
@@ -187,9 +189,31 @@ class _Arena:
     @cached_property
     def naming(self) -> list[list[int]]:
         """The bits of the exists options: per left, then per right state."""
-        rows = [self.left.index(w) * len(self.right) + self.S for w in self.m.states]
+        rows = [self.left.index(w) * len(self.right) for w in self.m.states]
         cols = [self.right.index(v) for v in self.n.states]
-        return [[1 << (i + j) for j in cols] for i in rows] + [[1 << (i + j) for i in rows] for j in cols]
+        pairs = [[i + j for j in cols] for i in rows] + [[i + j for i in rows] for j in cols]
+        return [[1 << (self.S + c) for c in codes] for codes in self._ordered(pairs)]
+
+    def _ordered(self, rows: list[list[int]]) -> list[list[int]]:
+        """Rows of pair codes; once refined, same-class pairs first, stably."""
+        same = self.same_class
+        return rows if same is None else [sorted(codes, key=lambda c: not same[c]) for codes in rows]
+
+    def refine(self) -> bool:
+        """Bisimulation classes of the modal sub-game on both models: the profiles
+        split by successor classes per relation until their count is stable
+        (Kanellakis & Smolka 1990), numbered by first occurrence. Drops built rows,
+        and tells whether new ones can differ: some pairs share a class, some not."""
+        succ = [sl + [[x + len(sl) for x in row] for row in sr] for sl, sr in self.steps]
+        count, ids, keys = -1, {}, self.profiles
+        while len(ids) > count:
+            count, ids = len(ids), {}
+            cls = [ids.setdefault(k, len(ids)) for k in keys]
+            keys = list(zip(cls, *([frozenset(map(cls.__getitem__, row)) for row in t] for t in succ)))
+        self.same_class = [a == b for a in cls[: len(self.left)] for b in cls[len(self.left) :]]
+        self.templates = [None] * self.S
+        self.__dict__.pop("naming", None)
+        return 0 < sum(self.same_class) < self.S
 
     def prop(self, pos: int) -> bool:
         c = pos & self.low
@@ -209,7 +233,7 @@ class _Arena:
             for sl, sr in self.steps:
                 rows, right = [w2 * width for w2 in sl[i]], sr[j]
                 template += [[a + b for b in right] for a in rows] + [[a + b for a in rows] for b in right]
-            self.templates[c] = template = template + self.targets
+            self.templates[c] = template = self._ordered(template) + self.targets
         for codes in template:
             yield named, codes
         if "at" in ops:
@@ -254,7 +278,7 @@ class OmegaResult:
     start: int  # the start position
     safe: _Positions | None
     dead: _Positions  # each has an option with no surviving answer, or is a violating start
-    runs: int  # 1 + the tainted runs that were restarted
+    runs: int  # 1 + the restarted runs: the tainted ones, and one if the classes predict a win
     _arena: _Arena = field(repr=False)
     # (position, depth) -> can the survivor last depth rounds; shared by all ranks
     _memo: dict[tuple[int, int], bool] = field(default_factory=dict, repr=False)
@@ -315,11 +339,14 @@ def omega_solve(frag: FragmentConfig, left: PointedModel, right: PointedModel) -
     Otherwise the solver explores lazily and optimistically from the start:
     cycles are assumed safe, a reply that breaks the property is never an
     answer, and a disproof (an option with no surviving answer) is
-    permanent. A run is restarted, keeping its disproofs, only when it is
+    permanent. A run is restarted, keeping its disproofs, when it is
     tainted: a position that answered an option while on the stack died
     later. The final run either disproves the start (sound at once) or is
     untainted; as a certified position never dies within its run, its
     certified set is then closed under the answering player's strategy.
+    Replies come in model order until a run has touched |L|*|R| positions; it
+    then builds classes (`_Arena.refine`), which put same-class replies first,
+    and restarts if they predict a win. Verdicts and ranks ignore the order.
     """
     arena = _Arena(frag, left.model, right.model)
     init = arena.code(left.current, right.current)
@@ -338,7 +365,7 @@ def omega_solve(frag: FragmentConfig, left: PointedModel, right: PointedModel) -
 def _attempt(arena: _Arena, init: int, dead: set[int]) -> set[int] | None:
     """One optimistic depth-first certification pass from the property-holding
     position `init`; adds its disproofs to `dead` and returns the positions
-    it certified, or None when the run is tainted.
+    it certified, or None when the run is tainted or built classes that predict a win.
 
     `live` holds the positions on the stack and those certified so far, all
     of which hold the property; `relied` those used as an answer. Each frame
@@ -348,6 +375,7 @@ def _attempt(arena: _Arena, init: int, dead: set[int]) -> set[int] | None:
     """
     prop, options = arena.prop, arena.options
     live, relied, tainted = {init}, set(), False
+    touched = arena.S if arena.same_class is None else 0  # positions touched when the classes are due; 0 never comes
     rows = options(init)
     stack: list[list] = [[init, rows, *next(rows, _SPENT), 0]]
     while stack:
@@ -370,6 +398,8 @@ def _attempt(arena: _Arena, init: int, dead: set[int]) -> set[int] | None:
                 f[4] = j + 1  # not an answer; on to the next reply
             else:
                 live.add(r)
+                if len(live) + len(dead) == touched and arena.refine() and arena.same_class[init]:
+                    return None  # the classes predict a win that the stack's model-order rows may miss
                 rows = options(r)
                 stack.append([r, rows, *next(rows, _SPENT), 0])
     return None if tainted else live

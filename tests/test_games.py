@@ -559,6 +559,24 @@ class TestNormalForm:
             pm = random_pointed(rng, SIG)
             assert satisfies(pm, s) == nf.holds_on(pm)
 
+    def test_equal_subtrees_are_one_object(self):
+        # type keys start with their node, so a lookup on a shared subtree
+        # hits by identity instead of walking two equal trees
+        rng = random.Random(20)
+        visits = distinct = 0
+        for _ in range(80):
+            sig = small_signature(rng)
+            f = rng.choice(FRAGMENTS)
+            tree = normal_form(random_sentence(rng, sig, f, depth=3), sig, f).tree
+            seen, stack = {}, [tree]
+            while stack:
+                node = stack.pop()
+                assert seen.setdefault(node, node) is node
+                stack += [child for _, child in node.children]
+                visits += 1
+            distinct += len(seen)
+        assert visits > distinct  # some subtree occurs more than once
+
     def test_fragment_violation_raised(self):
         from hdpl.syntax import FragmentViolationError
 

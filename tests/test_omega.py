@@ -49,6 +49,7 @@ def frag(ops, ctors=()):
 
 
 FULL = frag({"diamond", "at", "store", "exists"})
+DIA = frag({"diamond"})
 DS = frag({"diamond", "store"})
 DAS = frag({"diamond", "at", "store"})
 DSE = frag({"diamond", "store", "exists"})
@@ -70,6 +71,24 @@ def edges_model(states: str, p: str = "", **relations: str) -> KripkeModel:
     in `p` and each relation given as space-separated `a-b` edges."""
     rels = {r: [e.split("-") for e in edges.split()] for r, edges in relations.items()}
     return model_from_dict({"states": states.split(), "relations": rels, "props": {"p": p.split()}})
+
+
+def shuffled_copy(m: KripkeModel, rng: random.Random) -> tuple[KripkeModel, dict[str, str]]:
+    """An isomorphic copy of m under shuffled names, listing its states in a
+    shuffled order, and the renaming."""
+    names = list(m.states)
+    rng.shuffle(names)
+    ren = {w: f"t{i}" for i, w in enumerate(names)}
+    order = list(m.states)
+    rng.shuffle(order)
+    copy = KripkeModel(
+        m.sig,
+        tuple(ren[w] for w in order),
+        {k: ren[w] for k, w in m.nominal_interp.items()},
+        {r: frozenset((ren[a], ren[b]) for a, b in pairs) for r, pairs in m.relation_interp.items()},
+        {ren[w]: props for w, props in m.valuation.items()},
+    )
+    return copy, ren
 
 
 # 6-state pairs: a tree against a non-isomorphic one, whose families without
@@ -158,6 +177,17 @@ class TestOmegaSolve:
         rank = omega_solve(f, left, right).loss_rank()
         assert rank is not None and not seq_survives(f, left, right, rank)
         assert rank == 0 or seq_survives(f, left, right, rank - 1)
+
+    def test_classes_find_the_isomorphism_of_a_shuffled_copy(self):
+        # in model order the matching reply comes late, and the search
+        # disproves 3,433 positions before it wins; once the search has paid
+        # for the classes, rows built afterwards offer the class-matching
+        # replies first
+        sig = Signature(nominals=("k",), relations=("l",), props=("p",))
+        m = generate_random_model(7, 6, 0.4, sig)
+        n, ren = shuffled_copy(m, random.Random(6))
+        res = omega_solve(DSE, PointedModel(m, "s0"), PointedModel(n, ren["s0"]))
+        assert res.eloise_wins and len(res.dead) < 1000
 
     def test_dead_positions_do_not_depend_on_string_hashing(self):
         # 5-state self-pairs where the at-moves over named pairs, iterated in
@@ -556,28 +586,35 @@ def reference_prop(m, n, pos) -> bool:
     return basic and all((w == a) == (v == b) for a, b in named)
 
 
-def reference_options(f, m, n, pos):
+def reference_options(f, m, n, pos, shares=None):
     """The challenger's options at a (named pairs, current pair) position, each
     the list of the survivor's replies, in the solver's search order: per
     relation the left then the right diamond moves, `@k` per nominal, `@`
     each named pair in sorted order, store, then exists on the left per left
-    state and on the right per right state; states in model order."""
+    state and on the right per right state; states in model order. Given
+    `shares`, a test on a (left, right) state pair, each diamond and exists
+    option lists first the replies whose moved or named pair passes it,
+    keeping that order within each group."""
     named, (w, v) = pos
+
+    def first(pairs):
+        return sorted(pairs, key=lambda p: not shares(*p)) if shares else pairs
+
     options = []
     if "diamond" in f.ops:
         for r in m.sig.relations:
             left = [x for x in m.states if (w, x) in m.relation_interp[r]]
             right = [y for y in n.states if (v, y) in n.relation_interp[r]]
-            options += [[(named, (x, y)) for y in right] for x in left]
-            options += [[(named, (x, y)) for x in left] for y in right]
+            options += [[(named, p) for p in first([(x, y) for y in right])] for x in left]
+            options += [[(named, p) for p in first([(x, y) for x in left])] for y in right]
     if "at" in f.ops:
         options += [[(named, (m.nominal_interp[k], n.nominal_interp[k]))] for k in m.sig.nominals]
         options += [[(named, pair)] for pair in sorted(named)]
     if "store" in f.ops:
         options.append([(named | {(w, v)}, (w, v))])
     if "exists" in f.ops:
-        options += [[(named | {(a, b)}, (w, v)) for b in n.states] for a in m.states]
-        options += [[(named | {(a, b)}, (w, v)) for a in m.states] for b in n.states]
+        options += [[(named | {p}, (w, v)) for p in first([(a, b) for b in n.states])] for a in m.states]
+        options += [[(named | {p}, (w, v)) for p in first([(a, b) for a in m.states])] for b in n.states]
     return options
 
 
@@ -585,9 +622,10 @@ class TestIntArena:
     @pytest.mark.parametrize("f", FRAGMENTS, ids=lambda f: f.describe())
     def test_every_position_matches_the_tuple_rules(self, f):
         # states are numbered in sorted-name order: pair c is (L[c // |R|],
-        # R[c % |R|]) and mask bit c' names the pair c'
+        # R[c % |R|]) and mask bit c' names the pair c'; replies come in model
+        # order until the classes are built, and then class-matching first
         rng = random.Random(f"encoding:{f.describe()}")
-        drawn = largest = 0
+        drawn = largest = split = 0
         while drawn < 6 or largest < 9:  # six pairs, at least one of them 3x3
             m, n = random_model_pair(rng, small_signature(rng), max_states=3)
             if drawn % 2:  # list the states out of name order
@@ -608,7 +646,34 @@ class TestIntArena:
                 assert arena.prop(pos) == reference_prop(m, n, expected)
                 replies = [[arena.decode(r) for r in option] for option in reply_lists(arena, pos)]
                 assert replies == reference_options(f, m, n, expected)
+            arena.refine()
+
+            def shares(w, v):
+                return arena.same_class[arena.code(w, v)]
+
+            for pos in all_positions(arena):
+                replies = [[arena.decode(r) for r in option] for option in reply_lists(arena, pos)]
+                assert replies == reference_options(f, m, n, arena.decode(pos), shares)
             drawn, largest = drawn + 1, max(largest, S)
+            split += 0 < sum(arena.same_class) < S
+        assert split  # some pair has both kinds of reply
+
+    def test_classes_are_the_diamond_game_verdicts(self):
+        # the paper's Hennessy-Milner analogue on these finite models: two
+        # states share a class iff the survivor wins the countable game with
+        # diamond moves alone between them
+        rng = random.Random(92)
+        verdicts = []
+        for _ in range(300):
+            m, n = random_model_pair(rng, small_signature(rng), max_states=3)
+            arena = _Arena(DIA, m, n)
+            arena.refine()
+            for w in m.states:
+                for v in n.states:
+                    wins = omega_solve(DIA, PointedModel(m, w), PointedModel(n, v)).eloise_wins
+                    assert arena.same_class[arena.code(w, v)] == wins, (w, v)
+                    verdicts.append(wins)
+        assert 300 < sum(verdicts) < len(verdicts) - 300
 
     def test_decoded_views(self):
         rng = random.Random(86)
@@ -692,10 +757,11 @@ class TestInvariants:
         assert runs == {1, 2}
         # the first run certifies positions through one that dies later; its
         # certified set is open, so only the second run's is the safe set
+        # (the search stays too small to build the classes, the other restart)
         sig = Signature(nominals=("k",), relations=("l",), props=("p",))
         sweep = PointedModel(generate_random_model(39, 5, 0.4, sig), "s0")
         res = omega_solve(frag({"diamond"}), sweep, sweep)
-        assert res.runs == 2
+        assert res.runs == 2 and res._arena.same_class is None
         assert_safe_set_closed(res)
 
     def test_lazy_solver_matches_brute_force_fixpoint(self):
