@@ -48,10 +48,12 @@ from .kripke import (
 from .omega import (
     back_and_forth_hypotheses,
     bf_related,
+    extract_bisim_witness,
     hennessy_milner_check,
     max_back_and_forth,
     omega_solve,
     rooted_iso_check,
+    validate_bisim_family,
 )
 from .seqgame import seq_survives
 from .syntax import FragmentConfig, HdplError, Rel, Signature, parse_action, parse_sentence, print_sentence
@@ -368,8 +370,9 @@ def _cmd_fuzz(args) -> int:
         try:
             if args.suite == "omega":
                 res = omega_solve(frag, left, right)
-                if res.eloise_wins:
-                    ok = seq_survives(frag, left, right, 4)
+                if res.eloise_wins:  # the closure of the safe frontier must be a bisimulation family too
+                    fam = extract_bisim_witness(frag, left, right, 2)
+                    ok = seq_survives(frag, left, right, 4) and validate_bisim_family(fam, frag, m, n).ok
                 else:
                     ok = not seq_survives(frag, left, right, res.loss_rank())
             elif args.suite == "bf":

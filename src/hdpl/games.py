@@ -78,6 +78,26 @@ class GSNode:
 GameSentence = GSLeaf | GSNode
 
 
+def _gs_eq(self, other) -> bool:
+    """Structural equality walked with a stack, each pair of objects once, as in `GameboardTree.__eq__`."""
+    if type(other) is not type(self):
+        return NotImplemented
+    stack, seen = [(self, other)], set()
+    while stack:
+        a, b = stack.pop()
+        if a is not b and (id(a), id(b)) not in seen:
+            seen.add((id(a), id(b)))
+            (ha, ka), (hb, kb) = ((g.signs, ()) if type(g) is GSLeaf else ((g.edge, g.var), g.members)
+                                  if type(g) is GSPart else (None, g.parts) for g in (a, b))
+            if type(a) is not type(b) or ha != hb or len(ka) != len(kb):
+                return False
+            stack += zip(ka, kb)
+    return True
+
+
+GSLeaf.__eq__ = GSPart.__eq__ = GSNode.__eq__ = _gs_eq  # the dataclass hashes stay
+
+
 def gs_text(g) -> str:
     """Compact canonical rendering; doubles as the sort key for member sets."""
     cached = getattr(g, "_txt", None)

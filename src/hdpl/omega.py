@@ -276,8 +276,8 @@ class _Positions(Set):
 class OmegaResult:
     winner: str  # 'eloise' | 'abelard'
     start: int  # the start position
-    safe: _Positions | None
-    dead: _Positions  # each has an option with no surviving answer, or is a violating start
+    safe: _Positions | None  # a frontier: certified, and safe with fewer named pairs too
+    dead: _Positions  # a frontier: each, with more named pairs too, has an unanswerable option or is a violating start
     runs: int  # 1 + the restarted runs: the tainted ones, and one if the classes predict a win
     _arena: _Arena = field(repr=False)
     # (position, depth) -> can the survivor last depth rounds; shared by all ranks
@@ -346,35 +346,40 @@ def omega_solve(frag: FragmentConfig, left: PointedModel, right: PointedModel) -
     certified set is then closed under the answering player's strategy.
     Replies come in model order until a run has touched |L|*|R| positions; it
     then builds classes (`_Arena.refine`), which put same-class replies first,
-    and restarts if they predict a win. Verdicts and ranks ignore the order.
+    and restarts if they predict a win. Verdicts and ranks ignore the order. Replies only add named
+    pairs, so a position stays safe with fewer and dead with more (De Wulf et al., "Antichains", CAV
+    2006): a live position answers replies naming less, and the frontiers `safe` and `dead` close down and up.
     """
     arena = _Arena(frag, left.model, right.model)
     init = arena.code(left.current, right.current)
     if not arena.prop(init):
         return OmegaResult("abelard", init, None, _Positions({init}, arena), 1, arena)
-    dead: set[int] = set()
+    dead, down = set(), {}  # the disproofs, and the same per current pair
     safe, runs = None, 0
     while safe is None and init not in dead:
         runs += 1
-        safe = _attempt(arena, init, dead)
+        safe = _attempt(arena, init, dead, down)
     if init in dead:
         return OmegaResult("abelard", init, None, _Positions(dead, arena), runs, arena)
     return OmegaResult("eloise", init, _Positions(safe, arena), _Positions(dead, arena), runs, arena)
 
 
-def _attempt(arena: _Arena, init: int, dead: set[int]) -> set[int] | None:
+def _attempt(arena: _Arena, init: int, dead: set[int], down: dict[int, list[int]]) -> set[int] | None:
     """One optimistic depth-first certification pass from the property-holding
-    position `init`; adds its disproofs to `dead` and returns the positions
+    position `init`; adds its disproofs to `dead` and `down` and returns the positions
     it certified, or None when the run is tainted or built classes that predict a win.
 
     `live` holds the positions on the stack and those certified so far, all
     of which hold the property; `relied` those used as an answer. Each frame
     is [pos, rows, base, codes, reply_index], (base, codes) the current row;
     a popped frame's parent looks at the same reply again and finds it in
-    `live` (certified) or in `dead`.
+    `live` (certified) or in `dead`. Per current pair, `up` and `down` hold the live and dead positions:
+    another reply is no answer if a dead one names less, else answered by a live one naming more at its
+    pair or a later reply's pair of the row (relied on), else pushed.
     """
-    prop, options = arena.prop, arena.options
+    prop, options, low = arena.prop, arena.options, arena.low
     live, relied, tainted = {init}, set(), False
+    up = {init: {init: None}}  # per current pair, the live positions
     touched = arena.S if arena.same_class is None else 0  # positions touched when the classes are due; 0 never comes
     rows = options(init)
     stack: list[list] = [[init, rows, *next(rows, _SPENT), 0]]
@@ -387,21 +392,35 @@ def _attempt(arena: _Arena, init: int, dead: set[int]) -> set[int] | None:
             stack.pop()  # no surviving answer to the current option: disproven
             live.discard(pos)
             dead.add(pos)
+            del up[pos & low][pos]
+            down.setdefault(pos & low, []).append(pos)
             tainted = tainted or pos in relied
         else:
             r = base | codes[j]
-            if r in live:
-                relied.add(r)
-                f[2], f[3] = next(rows, _SPENT)  # answered; on to the next option
-                f[4] = 0
-            elif r in dead or not prop(r):
-                f[4] = j + 1  # not an answer; on to the next reply
-            else:
-                live.add(r)
-                if len(live) + len(dead) == touched and arena.refine() and arena.same_class[init]:
-                    return None  # the classes predict a win that the stack's model-order rows may miss
-                rows = options(r)
-                stack.append([r, rows, *next(rows, _SPENT), 0])
+            if r not in live:
+                if r in dead or not prop(r) or r & low in down and any(not p & ~r for p in down[r & low]):
+                    f[4] = j + 1  # not an answer, or a dead position at the pair names less; on to the next reply
+                    continue
+                for q in codes[j:]:  # a live position naming more, at the pair of this reply or a later one, answers
+                    q |= base
+                    for p in up.get(q & low, ()):
+                        if not q & ~p:
+                            break
+                    else:
+                        continue
+                    break
+                else:  # no cover: push this reply
+                    live.add(r)
+                    up.setdefault(r & low, {})[r] = None
+                    if len(live) + len(dead) == touched and arena.refine() and arena.same_class[init]:
+                        return None  # the classes predict a win that the stack's model-order rows may miss
+                    rows = options(r)
+                    stack.append([r, rows, *next(rows, _SPENT), 0])
+                    continue
+                r = p
+            relied.add(r)
+            f[2], f[3] = next(rows, _SPENT)  # answered; on to the next option
+            f[4] = 0
     return None if tainted else live
 
 
@@ -521,19 +540,17 @@ def extract_bisim_witness(
     right: PointedModel,
     l_max: int,
 ) -> LBisimFamily:
-    """Convert the safe-position fixpoint of a won countable game into a
-    level-indexed family: each safe position re-expands into every tuple
-    realization of its correspondence set."""
+    """Convert the safe region of a won countable game into a level-indexed
+    family: each safe position re-expands into every tuple over its
+    correspondence set, so that the family holds every subset of it too."""
     res = omega_solve(frag, left, right)
     if not res.eloise_wins:
         raise OmegaError("cannot extract a witness from a lost game")
     levels: dict[int, set[Entry]] = {l: set() for l in range(l_max + 1)}
     for pairs, (w, v) in res.safe:
         ordered = sorted(pairs)
-        for level in range(len(pairs), l_max + 1):
+        for level in range(l_max + 1):
             for combo in itertools.product(ordered, repeat=level):
-                if set(combo) != set(ordered):
-                    continue
                 wt = tuple(a for a, _ in combo)
                 vt = tuple(b for _, b in combo)
                 levels[level].add(((wt, w), (vt, v)))

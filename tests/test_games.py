@@ -165,6 +165,28 @@ class TestCharFormula:
         # cross-check with the independent game solver
         assert ef_solve(tr, left, right).winner == "abelard"
 
+    def test_equality_agrees_with_the_canonical_text(self):
+        # == walks the two DAGs once per pair of objects; it must agree with
+        # text equality on sentences, parts and leaves built apart, and equal
+        # sentences keep equal hashes
+        rng = random.Random(23)
+        outcomes = set()
+        for k in range(300):
+            f = FRAGMENTS[k % len(FRAGMENTS)]
+            sig = small_signature(rng)
+            tr = random_tree(rng, sig, f, default_actions(f), max_height=4, theta_cap=10**6)
+            m, n = random_model_pair(rng, sig, max_states=3)
+            gl = char_formula(tr, PointedModel(m, rng.choice(m.states)))
+            gr = char_formula(tr, PointedModel(n, rng.choice(n.states)))
+            pairs = [(gl, gr), (gl, gl.parts[0] if isinstance(gl, GSNode) else gr)]
+            pairs += zip(getattr(gl, "parts", ()), getattr(gr, "parts", ()))
+            for a, b in pairs:
+                same = gs_text(a) == gs_text(b)
+                assert (a == b) == same and (a != b) != same
+                assert not same or hash(a) == hash(b)
+                outcomes.add(same)
+        assert outcomes == {True, False}
+
     def test_satisfies_own_lowering(self):
         rng = random.Random(7)
         for _ in range(150):

@@ -189,6 +189,18 @@ class TestOmegaSolve:
         res = omega_solve(DSE, PointedModel(m, "s0"), PointedModel(n, ren["s0"]))
         assert res.eloise_wins and len(res.dead) < 1000
 
+    @pytest.mark.parametrize("f", [DSE, FULL], ids=lambda f: f.describe())
+    def test_frontiers_decide_symmetric_cycles(self, f):
+        # two disjoint l-3-cycles under p, each paired with itself: matched
+        # exactly, the search meets many named-set variants of each position
+        # (under DSE it disproved 10,752 and certified 768; under FULL, 33,988
+        # and 1,944). A reply that a live position at its pair covers is
+        # answered by it, and so is a later reply of its row before a push;
+        # without that look-ahead, FULL still took 1,096 and 66
+        m = edges_model("a b c d e f", "a b c d e f", l="a-b b-c c-a d-e e-f f-d")
+        res = omega_solve(f, PointedModel(m, "a"), PointedModel(m, "a"))
+        assert res.eloise_wins and len(res.dead) + len(res.safe) < 1000
+
     def test_dead_positions_do_not_depend_on_string_hashing(self):
         # 5-state self-pairs where the at-moves over named pairs, iterated in
         # frozenset order, made the explored positions vary between processes
@@ -713,12 +725,19 @@ def solved_sample(f, count=40):
 
 def assert_safe_set_closed(res):
     """The safe set holds the start and the property, and answers every
-    option of each of its positions."""
-    arena, safe = res._arena, res.safe.codes
+    option of each of its positions inside its closure: a reply counts only
+    when a stored safe position at the same current pair names a superset."""
+    arena, safe, low = res._arena, res.safe.codes, res._arena.low
     assert res.start in safe
+    covers = {}
+    for pos in safe:
+        covers.setdefault(pos & low, []).append(pos & ~low)
     for pos in safe:
         assert arena.prop(pos)
-        assert all(any(r in safe for r in replies) for replies in reply_lists(arena, pos))
+        assert all(
+            any(not r & ~low & ~b for r in replies for b in covers.get(r & low, ()))
+            for replies in reply_lists(arena, pos)
+        )
 
 
 class TestInvariants:
@@ -747,13 +766,15 @@ class TestInvariants:
 
     def test_only_a_tainted_run_restarts(self):
         # a run that adds disproofs keeps its certified set unless a position
-        # that answered while still on the stack died later; both cases occur
+        # that answered while still on the stack died later; both cases occur.
+        # Every sampled win with disproofs restarts, so the two l-3-cycles
+        # under DSE add one that disproves 15 positions in the run it keeps
+        cycles = PointedModel(edges_model("a b c d e f", "a b c d e f", l="a-b b-c c-a d-e e-f f-d"), "a")
         runs = set()
-        for f in FRAGMENTS:
-            for res in solved_sample(f):
-                if res.eloise_wins and res.dead:
-                    assert_safe_set_closed(res)
-                    runs.add(min(res.runs, 2))
+        for res in [*(res for f in FRAGMENTS for res in solved_sample(f)), omega_solve(DSE, cycles, cycles)]:
+            if res.eloise_wins and res.dead:
+                assert_safe_set_closed(res)
+                runs.add(min(res.runs, 2))
         assert runs == {1, 2}
         # the first run certifies positions through one that dies later; its
         # certified set is open, so only the second run's is the safe set
@@ -762,6 +783,14 @@ class TestInvariants:
         sweep = PointedModel(generate_random_model(39, 5, 0.4, sig), "s0")
         res = omega_solve(frag({"diamond"}), sweep, sweep)
         assert res.runs == 2 and res._arena.same_class is None
+        assert_safe_set_closed(res)
+        # a reply answered by the live position of a later reply in its row
+        # relies on that position, whose death later taints the run too
+        edges = "0-1 0-3 0-6 1-1 1-2 1-5 2-3 2-5 3-2 3-3 3-4 4-6 5-2 5-4 5-5 6-2 6-6".split()
+        m = model_from_dict({"states": [f"s{i}" for i in range(7)], "nominals": {"k": "s3"}, "props": {"p": []},
+                             "relations": {"l": [[f"s{e[0]}", f"s{e[2]}"] for e in edges]}})
+        res = omega_solve(DAS, PointedModel(m, "s4"), PointedModel(m, "s4"))
+        assert res.eloise_wins and res.runs == 2 and res._arena.same_class is None
         assert_safe_set_closed(res)
 
     def test_lazy_solver_matches_brute_force_fixpoint(self):
