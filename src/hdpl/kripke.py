@@ -305,18 +305,16 @@ def is_rooted(pm: PointedModel) -> bool:
     """True iff every state is reachable from the current state through the
     union of all relations."""
     m = pm.model
-    succ: dict[str, set[str]] = {w: set() for w in m.states}
-    for rel in m.sig.relations:
-        for a, b in m.relation_interp[rel]:
-            succ[a].add(b)
+    succs = [m.succ[Rel(r)] for r in m.sig.relations]
     seen = {pm.current}
     frontier = [pm.current]
     while frontier:
         w = frontier.pop()
-        for v in succ[w]:
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
+        for succ in succs:
+            for v in succ[w]:
+                if v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
     return len(seen) == len(m.states)
 
 

@@ -10,8 +10,8 @@ are tried in sorted order and the search and its dead positions are the
 same in every process. The safety condition (basic agreement of the current
 pair, consistent with every named pair) is one mask test. A challenger
 option is a row (base, codes) of replies base | code, made when a search
-reaches it; a solve restarts only when a disproof voids an answer it relied
-on. Results decode positions on iteration.
+reaches it; a solve restarts only when a disproof voids one of its
+answers. Results decode positions on iteration.
 
 Every solver moves along the base relations only, whatever constructors the
 fragment enables: a diamond move keeps the named correspondences, so a
@@ -26,7 +26,7 @@ from collections.abc import Iterator, Set
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
-from .checker import SignatureMismatchError, basic_agreement, basic_profiles
+from .checker import SignatureMismatchError, basic_profiles
 from .gameboard import complete_tree
 from .games import ef_solve
 from .kripke import (
@@ -119,17 +119,6 @@ def action_pair_closure(
     return items
 
 
-def _action_steps(frag: FragmentConfig, m: KripkeModel, n: KripkeModel) -> list[tuple[str, dict, dict]]:
-    """(r, left successor map, right successor map) for each relation name r
-    of the signature, in signature order; none when the fragment has no
-    diamond. The maps are the models' cached ones."""
-    if m.sig.relations != n.sig.relations:
-        raise SignatureMismatchError("models must share relation names")
-    if "diamond" not in frag.ops:
-        return []
-    return [(r, m.succ[Rel(r)], n.succ[Rel(r)]) for r in m.sig.relations]
-
-
 def _numbered(m: KripkeModel, r: str, names) -> list[list[int]]:
     """Relation r of m as a table over the state order `names`: per state,
     its successors' numbers in `names`, in model order."""
@@ -145,17 +134,16 @@ class _Arena:
     """The safety game on int positions. Left state i and right state j, in
     sorted-name order, form the pair c = i*|R| + j; a position is `mask << S
     | c` with S = |L|*|R|, and mask bit c' names the pair c'. Tables, such as
-    `steps` per base relation, are built on first use."""
+    `steps` per base relation, are built on first use. `max_back_and_forth`
+    reads the numbering, `agree`, `targets` and `steps` too."""
 
     def __init__(self, frag: FragmentConfig, m: KripkeModel, n: KripkeModel):
         if m.sig != n.sig:
             raise SignatureMismatchError("models must share a signature")
-        if m.sig.bound_vars:
-            raise OmegaError("countable games start from variable-free signatures")
         self.frag = frag
         self.m = m
         self.n = n
-        self.left, self.right = sorted(m.states), sorted(n.states)
+        self.left, self.right = tuple(sorted(m.states)), tuple(sorted(n.states))
         self.S = len(self.left) * len(self.right)
         self.low = (1 << self.S) - 1
         ids, pl, pr = {}, basic_profiles(m), basic_profiles(n)  # profiles numbered per state of L, then of R
@@ -277,7 +265,8 @@ class OmegaResult:
     winner: str  # 'eloise' | 'abelard'
     start: int  # the start position
     safe: _Positions | None  # a frontier: certified, and safe with fewer named pairs too
-    dead: _Positions  # a frontier: each, with more named pairs too, has an unanswerable option or is a violating start
+    dead: _Positions  # each, with more named pairs too, has an unanswerable option or is a violating start;
+    # an entry may name more than another at its pair, as dead replies are matched exactly
     runs: int  # 1 + the restarted runs: the tainted ones, and one if the classes predict a win
     _arena: _Arena = field(repr=False)
     # (position, depth) -> can the survivor last depth rounds; shared by all ranks
@@ -344,43 +333,49 @@ def omega_solve(frag: FragmentConfig, left: PointedModel, right: PointedModel) -
     later. The final run either disproves the start (sound at once) or is
     untainted; as a certified position never dies within its run, its
     certified set is then closed under the answering player's strategy.
-    Replies come in model order until a run has touched |L|*|R| positions; it
-    then builds classes (`_Arena.refine`), which put same-class replies first,
-    and restarts if they predict a win. Verdicts and ranks ignore the order. Replies only add named
-    pairs, so a position stays safe with fewer and dead with more (De Wulf et al., "Antichains", CAV
-    2006): a live position answers replies naming less, and the frontiers `safe` and `dead` close down and up.
+
+    Replies come in model order until a run has touched |L|*|R| positions;
+    it then builds classes (`_Arena.refine`), which put same-class replies
+    first, and restarts if they predict a win. Verdicts and ranks ignore the
+    order. Replies only add named pairs, so a position stays safe with fewer
+    (De Wulf et al., "Antichains", CAV 2006): a live position answers the
+    replies naming less at its pair, so `safe` stands for them too.
     """
     arena = _Arena(frag, left.model, right.model)
+    if arena.m.sig.bound_vars:
+        raise OmegaError("countable games start from variable-free signatures")
     init = arena.code(left.current, right.current)
     if not arena.prop(init):
         return OmegaResult("abelard", init, None, _Positions({init}, arena), 1, arena)
-    dead, down = set(), {}  # the disproofs, and the same per current pair
+    dead: set[int] = set()
     safe, runs = None, 0
     while safe is None and init not in dead:
         runs += 1
-        safe = _attempt(arena, init, dead, down)
+        safe = _attempt(arena, init, dead)
     if init in dead:
         return OmegaResult("abelard", init, None, _Positions(dead, arena), runs, arena)
     return OmegaResult("eloise", init, _Positions(safe, arena), _Positions(dead, arena), runs, arena)
 
 
-def _attempt(arena: _Arena, init: int, dead: set[int], down: dict[int, list[int]]) -> set[int] | None:
+def _attempt(arena: _Arena, init: int, dead: set[int]) -> set[int] | None:
     """One optimistic depth-first certification pass from the property-holding
-    position `init`; adds its disproofs to `dead` and `down` and returns the positions
-    it certified, or None when the run is tainted or built classes that predict a win.
+    position `init`; adds its disproofs to `dead` and returns the positions it
+    certified, or None when the run is tainted or built classes that predict
+    a win.
 
-    `live` holds the positions on the stack and those certified so far, all
-    of which hold the property; `relied` those used as an answer. Each frame
-    is [pos, rows, base, codes, reply_index], (base, codes) the current row;
-    a popped frame's parent looks at the same reply again and finds it in
-    `live` (certified) or in `dead`. Per current pair, `up` and `down` hold the live and dead positions:
-    another reply is no answer if a dead one names less, else answered by a live one naming more at its
-    pair or a later reply's pair of the row (relied on), else pushed.
+    `up` maps each current pair to its live positions, those on the stack and
+    those certified so far, all of which hold the property; each maps to
+    whether it has answered an option. Each frame is [pos, rows, base, codes,
+    reply_index], (base, codes) the current row; a popped frame's parent looks
+    at the same reply again and finds it live (certified) or dead. A reply
+    that is dead or breaks the property is no answer; else a live position
+    naming as much or more, at its pair or at a later reply's pair of the row,
+    answers it; else it is pushed.
     """
     prop, options, low = arena.prop, arena.options, arena.low
-    live, relied, tainted = {init}, set(), False
-    up = {init: {init: None}}  # per current pair, the live positions
-    touched = arena.S if arena.same_class is None else 0  # positions touched when the classes are due; 0 never comes
+    up, tainted = {init: {init: False}}, False  # the start names nothing: it is its own pair
+    touched = len(dead) + 1  # the disproofs, the start and the pushes
+    due = arena.S if arena.same_class is None else 0  # when the classes are built; 0 never comes
     rows = options(init)
     stack: list[list] = [[init, rows, *next(rows, _SPENT), 0]]
     while stack:
@@ -390,16 +385,13 @@ def _attempt(arena: _Arena, init: int, dead: set[int], down: dict[int, list[int]
             stack.pop()  # every option answered: certified, stays live
         elif j == len(codes):
             stack.pop()  # no surviving answer to the current option: disproven
-            live.discard(pos)
             dead.add(pos)
-            del up[pos & low][pos]
-            down.setdefault(pos & low, []).append(pos)
-            tainted = tainted or pos in relied
+            tainted = up[pos & low].pop(pos) or tainted
         else:
             r = base | codes[j]
-            if r not in live:
-                if r in dead or not prop(r) or r & low in down and any(not p & ~r for p in down[r & low]):
-                    f[4] = j + 1  # not an answer, or a dead position at the pair names less; on to the next reply
+            if r not in up.get(r & low, ()):
+                if r in dead or not prop(r):
+                    f[4] = j + 1  # not an answer; on to the next reply
                     continue
                 for q in codes[j:]:  # a live position naming more, at the pair of this reply or a later one, answers
                     q |= base
@@ -410,18 +402,18 @@ def _attempt(arena: _Arena, init: int, dead: set[int], down: dict[int, list[int]
                         continue
                     break
                 else:  # no cover: push this reply
-                    live.add(r)
-                    up.setdefault(r & low, {})[r] = None
-                    if len(live) + len(dead) == touched and arena.refine() and arena.same_class[init]:
+                    up.setdefault(r & low, {})[r] = False
+                    touched += 1
+                    if touched == due and arena.refine() and arena.same_class[init]:
                         return None  # the classes predict a win that the stack's model-order rows may miss
                     rows = options(r)
                     stack.append([r, rows, *next(rows, _SPENT), 0])
                     continue
                 r = p
-            relied.add(r)
+            up[r & low][r] = True
             f[2], f[3] = next(rows, _SPENT)  # answered; on to the next option
             f[4] = 0
-    return None if tainted else live
+    return None if tainted else {p for live in up.values() for p in live}
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +461,12 @@ def validate_bisim_family(
     """Check every clause of the level-indexed bisimulation definition on the
     supplied entries, gating each clause by the fragment. The append clauses
     are only checkable up to l_max - 1; the note records that bound."""
+    if m.sig.relations != n.sig.relations:
+        raise SignatureMismatchError("models must share relation names")
     violations: list[str] = []
     empty = fam.size() == 0
-    steps = _action_steps(frag, m, n)
+    rels = m.sig.relations if "diamond" in frag.ops else ()
+    steps = [(r, m.succ[Rel(r)], n.succ[Rel(r)]) for r in rels]
 
     for level in sorted(fam.levels):
         for entry in fam.levels[level]:
@@ -665,36 +660,29 @@ def max_back_and_forth(frag: FragmentConfig, m: KripkeModel, n: KripkeModel) -> 
     basic-sentence-preserving injective partial map (including the empty
     one): the union of all back-and-forth systems between the models.
 
-    With states indexed in model order, a map's code is the integer whose
-    base-(|N|+1) digit i is 1 + the image of left state i, or 0 when i is
-    unmapped. A clause on a map is met by the map itself or by a one-step
-    extension, whose code adds (u+1) * base**i and so is larger. One pass in
-    decreasing code order thus decides each map once, against survivors
-    already decided. Only partial isomorphisms are enumerated: left states
-    are assigned from the highest index down, skipping (with its subtree) a
-    pair that breaks a relation against itself or a pair assigned above it,
-    as every extension breaks it too and none could survive. A sum that maps
-    two states to u, or breaks a relation, codes no enumerated map, so it is
-    never a survivor."""
-    if m.sig != n.sig:
-        raise SignatureMismatchError("models must share a signature")
-    left, right = m.states, n.states
-    lidx = {w: i for i, w in enumerate(left)}
-    weight = [(len(right) + 1) ** i for i in range(len(left))]
-    agree = basic_agreement(m, n)
-    partners = [[u for u, v in enumerate(right) if agree[(w, v)]] for w in left]
+    With states numbered as in the countable game's arena (`_Arena`, sorted
+    names), a map's code is the integer whose base-(|N|+1) digit i is 1 + the
+    image of left state i, or 0 when i is unmapped. A clause on a map is met
+    by the map itself or by a one-step extension, whose code adds
+    (u+1) * base**i and so is larger. One pass in decreasing code order thus
+    decides each map once, against survivors already decided. Only partial
+    isomorphisms are enumerated: left states are assigned from the highest
+    index to the lowest, skipping (with its subtree) a pair that breaks a
+    relation against itself or a pair assigned above it, as every extension
+    breaks it too and none could survive. A sum that maps two states to u,
+    or breaks a relation, codes no enumerated map, so it is never a
+    survivor."""
+    arena = _Arena(frag, m, n)
+    left, right, steps = arena.left, arena.right, arena.steps
+    width = len(right)
+    weight = [(width + 1) ** i for i in range(len(left))]
+    partners = [[u for u in range(width) if arena.agree[i * width + u]] for i in range(len(left))]
     # ext[i]: what adding (i, u) adds to a code, per partner u of left state i
     ext = [[(u + 1) * weight[i] for u in partners[i]] for i in range(len(left))]
-    back_ext = [[(i, (u + 1) * weight[i]) for i in range(len(left)) if u in partners[i]] for u in range(len(right))]
-
-    rels = m.sig.relations if "diamond" in frag.ops else ()
-    steps = [(_numbered(m, r, left), _numbered(n, r, right)) for r in rels]
+    back_ext = [[(i, (u + 1) * weight[i]) for i in range(len(left)) if u in partners[i]] for u in range(width)]
     exists = "exists" in frag.ops
     # left states the map must cover: every state under exists, the nominals' under at
-    if exists:
-        targets = range(len(left))
-    else:
-        targets = [lidx[m.nominal_interp[k]] for k in m.sig.nominals] if "at" in frag.ops else []
+    targets = range(len(left)) if exists else [c // width for [c] in arena.targets]
 
     alive: set[int] = set()
     img = [-1] * len(left)
@@ -858,7 +846,10 @@ def hennessy_milner_check(
     """Compare (a) the finite games on complete trees of every height up to
     8 that stays within the node budget, which the survivor wins iff the
     characteristic formulas agree, (b) the countable-game verdict, and (c)
-    back-and-forth relatedness, for a quantifier-free fragment."""
+    back-and-forth relatedness, for a quantifier-free fragment. One game on
+    the tallest tree decides (a): a complete tree offers every move at every
+    level, so the game of height h is lost iff its loss comes within h
+    rounds."""
     if "exists" in frag.ops:
         raise OmegaError("the image-finite harness is for quantifier-free fragments")
     res = omega_solve(frag, left, right)
@@ -866,15 +857,13 @@ def hennessy_milner_check(
     tree_frag = frag if actions or "diamond" not in frag.ops else FragmentConfig(
         frag.ops - {"diamond"}, frozenset()
     )
-    height = _feasible_height(left.model.sig, tree_frag, 8)
-    per_height = []
-    for h in range(1, height + 1):
-        tr = complete_tree(left.model.sig, tree_frag, h, actions)
-        per_height.append(ef_solve(tr, left, right).winner == "eloise")
+    heights = tuple(range(1, _feasible_height(left.model.sig, tree_frag, 8) + 1))
+    d = ef_solve(complete_tree(left.model.sig, tree_frag, heights[-1], actions), left, right).loss_depth
+    per_height = tuple(d is None or h < d for h in heights)
     return HennessyMilnerReport(
         fragment=frag.describe(),
-        heights=tuple(range(1, height + 1)),
-        char_equal_per_height=tuple(per_height),
+        heights=heights,
+        char_equal_per_height=per_height,
         elementary_proxy=all(per_height),
         omega_equivalent=res.eloise_wins,
         bf_equivalent=bf_related(frag, left, right),

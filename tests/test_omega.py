@@ -237,6 +237,8 @@ class TestOmegaSolve:
         grown = PointedModel(expand(left.model, "x0", "0"), "0")
         with pytest.raises(OmegaError):
             omega_solve(DS, grown, grown)
+        # max_back_and_forth builds the same arena, but takes expanded models
+        assert max_back_and_forth(DS, grown.model, grown.model).relates("0", "0")
 
 
 class TestBackAndForth:
@@ -320,6 +322,24 @@ class TestBackAndForth:
         assert system.maps == naive_max_back_and_forth(f, m, n)
         assert not system.relates("b", "b") and not system.relates("a", "a")
         assert frozenset({("a", "b"), ("b", "a")}) in system.maps
+
+    @pytest.mark.parametrize("f", FRAGMENTS, ids=lambda f: f.describe())
+    def test_renamed_shuffled_copies_give_the_same_family(self, f):
+        # maps are coded over the states in sorted-name order, whatever order
+        # the models list them in: renamed copies listed in shuffled orders
+        # keep the family's size and relate the renamed pairs
+        rng = random.Random(f"renamed:{f.describe()}")
+        related = 0
+        for _ in range(12):
+            m, n = random_model_pair(rng, small_signature(rng), max_states=4)
+            (m2, ren_m), (n2, ren_n) = shuffled_copy(m, rng), shuffled_copy(n, rng)
+            system, renamed = max_back_and_forth(f, m, n), max_back_and_forth(f, m2, n2)
+            assert len(renamed) == len(system)
+            for w in m.states:
+                for v in n.states:
+                    assert renamed.relates(ren_m[w], ren_n[v]) == system.relates(w, v)
+                    related += system.relates(w, v)
+        assert related
 
     @pytest.mark.parametrize("f", FRAGMENTS, ids=lambda f: f.describe())
     def test_six_state_families_are_partial_isomorphisms(self, f):
@@ -490,6 +510,27 @@ class TestHennessyMilner:
             expected = tuple(rank is None or h < rank for h in report.heights)
             assert report.char_equal_per_height == expected
         assert rank == 3 and not report.elementary_proxy
+
+    def test_one_tall_game_gives_every_height(self):
+        # the report plays the finite game on the tallest complete tree only;
+        # each height's verdict must be that of its own complete tree
+        rng = random.Random(95)
+        mixed = 0
+        for f in [f for f in FRAGMENTS if "exists" not in f.ops]:
+            for _ in range(12):
+                sig = small_signature(rng)
+                m, n = random_model_pair(rng, sig, max_states=3)
+                starts = [pair for pair, ok in basic_agreement(m, n).items() if ok]
+                w, v = rng.choice(starts) if starts else (m.states[0], n.states[0])
+                left, right = PointedModel(m, w), PointedModel(n, v)
+                report = hennessy_milner_check(left, right, f)
+                actions = tuple(Rel(r) for r in sig.relations)
+                separate = tuple(
+                    ef_solve(complete_tree(sig, f, h, actions), left, right).winner == "eloise" for h in report.heights
+                )
+                assert report.char_equal_per_height == separate, f.describe()
+                mixed += len(set(separate)) == 2
+        assert mixed > 3  # some games are lost above height 1
 
 
 class TestRootedIso:
