@@ -135,7 +135,9 @@ class _Arena:
     sorted-name order, form the pair c = i*|R| + j; a position is `mask << S
     | c` with S = |L|*|R|, and mask bit c' names the pair c'. Tables, such as
     `steps` per base relation, are built on first use. `max_back_and_forth`
-    reads the numbering, `agree`, `targets` and `steps` too."""
+    reads the numbering, `agree`, `targets` and `steps` too: its maps are laid
+    out as `mask` is, and each of its clause rows is the mask of the pair
+    codes that a diamond, `@k` or exists row of `options` lists."""
 
     def __init__(self, frag: FragmentConfig, m: KripkeModel, n: KripkeModel):
         if m.sig != n.sig:
@@ -389,13 +391,15 @@ def _attempt(arena: _Arena, init: int, dead: set[int]) -> set[int] | None:
             tainted = up[pos & low].pop(pos) or tainted
         else:
             r = base | codes[j]
-            if r not in up.get(r & low, ()):
+            live, p = up.get(r & low, ()), r  # p, in its pair's dict live, is to answer r
+            if r not in live:
                 if r in dead or not prop(r):
                     f[4] = j + 1  # not an answer; on to the next reply
                     continue
                 for q in codes[j:]:  # a live position naming more, at the pair of this reply or a later one, answers
                     q |= base
-                    for p in up.get(q & low, ()):
+                    live = up.get(q & low, ())
+                    for p in live:
                         if not q & ~p:
                             break
                     else:
@@ -409,8 +413,7 @@ def _attempt(arena: _Arena, init: int, dead: set[int]) -> set[int] | None:
                     rows = options(r)
                     stack.append([r, rows, *next(rows, _SPENT), 0])
                     continue
-                r = p
-            up[r & low][r] = True
+            live[p] = True
             f[2], f[3] = next(rows, _SPENT)  # answered; on to the next option
             f[4] = 0
     return None if tainted else {p for live in up.values() for p in live}
@@ -630,9 +633,9 @@ def partial_iso_from_tuple(m: KripkeModel, n: KripkeModel, entry: Entry) -> Part
 @dataclass
 class BackAndForthSystem:
     """The maximal family of basic partial isomorphisms closed under the
-    extension clauses the fragment enables; possibly empty. It keeps the maps
-    as the integer codes of `max_back_and_forth` over the states `left` and
-    `right`, and decodes `maps` on first use."""
+    extension clauses the fragment enables; possibly empty. `codes` keeps
+    each map as the bitmask of `max_back_and_forth`, bit i*|right| + u for
+    left state i sent to right state u; `maps` decodes them on first use."""
 
     codes: frozenset[int]
     frag: FragmentConfig
@@ -641,18 +644,68 @@ class BackAndForthSystem:
 
     @cached_property
     def maps(self) -> frozenset[PartialMap]:
-        base = len(self.right) + 1
-        digits = [[code // base**i % base for i in range(len(self.left))] for code in self.codes]
-        return frozenset(frozenset((w, self.right[d - 1]) for w, d in zip(self.left, ds) if d) for ds in digits)
+        width = len(self.right)
+        return frozenset(
+            frozenset((self.left[c // width], self.right[c % width]) for c in _bit_codes(code)) for code in self.codes
+        )
 
     def relates(self, w: str, v: str) -> bool:
         # the family is subset-closed, so it relates (w, v) iff it holds {(w, v)}
         if w not in self.left or v not in self.right:
             return False
-        return (self.right.index(v) + 1) * (len(self.right) + 1) ** self.left.index(w) in self.codes
+        return 1 << (self.left.index(w) * len(self.right) + self.right.index(v)) in self.codes
 
     def __len__(self):
         return len(self.codes)
+
+
+def _bit_codes(mask: int) -> Iterator[int]:
+    """The numbers of the set bits of mask, in ascending order."""
+    while mask:
+        bit = mask & -mask
+        yield bit.bit_length() - 1
+        mask ^= bit
+
+
+def _edge_masks(table: list[list[int]], blocks: list[int]) -> tuple[list[int], list[int]]:
+    """Per state of a successor table, the union of its successors' blocks, and of its predecessors'."""
+    out, into = [0] * len(table), [0] * len(table)
+    for a, succ in enumerate(table):
+        for b in succ:
+            out[a] |= blocks[b]
+            into[b] |= blocks[a]
+    return out, into
+
+
+def _partial_isos(cand: int, compat: list[int], blocks: list[int]) -> list[int]:
+    """The sets of pairwise compatible candidates, ascending. Per block (left
+    state), each map grows by each bit of `allow`, the candidates it may still
+    take, into `allow & compat[bit]`; new bits, the outer loop, exceed all before."""
+    maps, allows = [0], [cand]
+    for k, block in enumerate(blocks):
+        grown, grown_allows = [], []
+        for c in _bit_codes(cand & block):
+            bit, keep = 1 << c, compat[c]
+            grown += [f | bit for f, a in zip(maps, allows) if a & bit]
+            if k + 1 < len(blocks):  # maps on the last block take no more pairs
+                grown_allows += [a & keep for a in allows if a & bit]
+        maps += grown
+        allows += grown_allows
+    return maps
+
+
+def _rows_met(f: int, rows: list[int], family: set[int]) -> bool:
+    """Does map f, in each row, have a bit or grow by one into the family?"""
+    for mask in rows:
+        if not f & mask:
+            while mask:
+                b = mask & -mask
+                if f | b in family:
+                    break
+                mask ^= b
+            else:
+                return False
+    return True
 
 
 def max_back_and_forth(frag: FragmentConfig, m: KripkeModel, n: KripkeModel) -> BackAndForthSystem:
@@ -660,108 +713,54 @@ def max_back_and_forth(frag: FragmentConfig, m: KripkeModel, n: KripkeModel) -> 
     basic-sentence-preserving injective partial map (including the empty
     one): the union of all back-and-forth systems between the models.
 
-    With states numbered as in the countable game's arena (`_Arena`, sorted
-    names), a map's code is the integer whose base-(|N|+1) digit i is 1 + the
-    image of left state i, or 0 when i is unmapped. A clause on a map is met
-    by the map itself or by a one-step extension, whose code adds
-    (u+1) * base**i and so is larger. One pass in decreasing code order thus
-    decides each map once, against survivors already decided. Only partial
-    isomorphisms are enumerated: left states are assigned from the highest
-    index to the lowest, skipping (with its subtree) a pair that breaks a
-    relation against itself or a pair assigned above it, as every extension
-    breaks it too and none could survive. A sum that maps two states to u,
-    or breaks a relation, codes no enumerated map, so it is never a
-    survivor."""
+    A map is a bitmask over the pair codes c = i*|N| + u of `_Arena`. A
+    candidate pair agrees on basic sentences and, under diamond, keeps each
+    base relation with itself; its compatibility mask admits the pairs on
+    other states that keep each relation with it both ways. The partial
+    isomorphisms, the sets of pairwise compatible candidates, are generated
+    in ascending order (`_partial_isos`). Each clause is a row mask: an `@k`
+    target; under exists, one per left and one per right state; per mapped
+    pair and relation, a forth row per left and a back row per right
+    successor. A map meets a row when it has one of its bits, or when adding
+    one gives a member, which is larger: so one pass in descending order
+    decides every map. Without any row, every partial isomorphism is one."""
     arena = _Arena(frag, m, n)
-    left, right, steps = arena.left, arena.right, arena.steps
-    width = len(right)
-    weight = [(width + 1) ** i for i in range(len(left))]
-    partners = [[u for u in range(width) if arena.agree[i * width + u]] for i in range(len(left))]
-    # ext[i]: what adding (i, u) adds to a code, per partner u of left state i
-    ext = [[(u + 1) * weight[i] for u in partners[i]] for i in range(len(left))]
-    back_ext = [[(i, (u + 1) * weight[i]) for i in range(len(left)) if u in partners[i]] for u in range(width)]
-    exists = "exists" in frag.ops
-    # left states the map must cover: every state under exists, the nominals' under at
-    targets = range(len(left)) if exists else [c // width for [c] in arena.targets]
-
-    alive: set[int] = set()
-    img = [-1] * len(left)
-    inv = [-1] * len(right)
-
-    def visit(i: int, code: int):
-        # assign left states i, i-1, ..., 0, each digit from high to low
-        if i < 0:
-            if _bf_clauses_met(code, img, inv, alive, weight, ext, back_ext, targets, steps, exists):
-                alive.add(code)
-            return
-        for u in reversed(partners[i]):
-            if inv[u] >= 0:
-                continue
-            img[i] = u
-            for sl, sr in steps:  # a clash prunes the subtree: only partial isomorphisms are visited
-                if _clashes(i, img, sl, sr):
-                    break
-            else:
-                inv[u] = i
-                visit(i - 1, code + (u + 1) * weight[i])
-                inv[u] = -1
-        img[i] = -1
-        visit(i - 1, code)
-
-    visit(len(left) - 1, 0)
-    return BackAndForthSystem(frozenset(alive), frag, left, right)
-
-
-def _clashes(i, img, sl, sr) -> bool:
-    """Does the pair (i, img[i]) break the relation with successor tables sl
-    and sr, against itself or a pair assigned to a left state above i?"""
-    u = img[i]
-    for k in range(i, len(img)):
-        v = img[k]
-        if v >= 0 and ((k in sl[i]) != (v in sr[u]) or (i in sl[k]) != (u in sr[v])):
-            return True
-    return False
-
-
-def _bf_clauses_met(code, img, inv, alive, weight, ext, back_ext, targets, steps, exists) -> bool:
-    """Does the map with this code (image `img`, preimage `inv`, -1 where
-    undefined) meet every enabled extension clause within `alive`?"""
-    for i in targets:
-        if img[i] < 0:
-            for d in ext[i]:
-                if code + d in alive:
-                    break
-            else:
-                return False
-    if exists:
-        for u, k in enumerate(inv):
-            if k < 0:
-                for i, d in back_ext[u]:
-                    if img[i] < 0 and code + d in alive:
-                        break
-                else:
-                    return False
-    for sl, sr in steps:
-        for i, j in enumerate(img):
-            if j < 0:
-                continue
-            for i2 in sl[i]:
-                if img[i2] >= 0:
-                    continue
-                for u in sr[j]:
-                    if code + (u + 1) * weight[i2] in alive:
-                        break
-                else:
-                    return False
-            for u2 in sr[j]:
-                if inv[u2] >= 0:
-                    continue
-                for i3 in sl[i]:
-                    if img[i3] < 0 and code + (u2 + 1) * weight[i3] in alive:
-                        break
-                else:
-                    return False
-    return True
+    width, height, S = len(arena.right), len(arena.left), arena.S
+    row_of = [((1 << width) - 1) << i * width for i in range(height)]  # per left state, its pairs
+    col_of = [sum(1 << i * width + u for i in range(height)) for u in range(width)]  # per right state
+    tables = [(sl, sr, _edge_masks(sl, row_of), _edge_masks(sr, col_of)) for sl, sr in arena.steps]
+    cand, compat = 0, [0] * S  # compat[c] & cand: the candidates that c keeps every relation with
+    for c in range(S):
+        if arena.agree[c]:
+            i, u = divmod(c, width)
+            bad = 0  # the pairs that break a base relation with c
+            for _, _, (out_l, in_l), (out_r, in_r) in tables:
+                bad |= out_l[i] ^ out_r[u] | in_l[i] ^ in_r[u]
+            if not bad >> c & 1:
+                cand |= 1 << c
+                compat[c] = ~(row_of[i] | col_of[u] | bad)
+    maps = _partial_isos(cand, compat, row_of)
+    fixed = [cand & 1 << c for [c] in arena.targets]
+    if "exists" in frag.ops:
+        fixed += [cand & block for block in row_of + col_of]
+    clauses = {}  # per candidate bit, its forth and back rows
+    for c in _bit_codes(cand):
+        i, u = divmod(c, width)
+        clauses[1 << c] = rows = []
+        for sl, sr, (out_l, _), (out_r, _) in tables:
+            rows += [cand & out_r[u] & row_of[i2] for i2 in sl[i]] + [cand & out_l[i] & col_of[u2] for u2 in sr[u]]
+    if not fixed and not any(clauses.values()):
+        return BackAndForthSystem(frozenset(maps), frag, arena.left, arena.right)
+    family: set[int] = set()
+    for f in reversed(maps):
+        met, g = _rows_met(f, fixed, family), f
+        while met and g:  # the rows of each mapped pair
+            b = g & -g
+            met = _rows_met(f, clauses[b], family)
+            g ^= b
+        if met:
+            family.add(f)
+    return BackAndForthSystem(frozenset(family), frag, arena.left, arena.right)
 
 
 def bf_related(frag: FragmentConfig, left: PointedModel, right: PointedModel) -> bool:

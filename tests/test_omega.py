@@ -1,8 +1,10 @@
 import itertools
+import math
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -356,6 +358,53 @@ class TestBackAndForth:
                         wins = omega_solve(f, PointedModel(m, w), PointedModel(n, v)).eloise_wins
                         assert system.relates(w, v) == wins, (f.describe(), w, v)
         assert len(system) > 1  # the lasso pair is isomorphic
+
+    @pytest.mark.parametrize("f", FRAGMENTS, ids=lambda f: f.describe())
+    def test_family_is_subset_closed(self, f):
+        # relates(w, v) looks up only the map {(w, v)}, which is right because
+        # dropping any pair of a member leaves a member
+        rng = random.Random(f"subsets:{f.describe()}")
+        largest = 0
+        for _ in range(25):
+            m, n = random_model_pair(rng, small_signature(rng), max_states=6)
+            system = max_back_and_forth(f, m, n)
+            assert len(system.maps) == len(system)
+            assert all(h - {pair} in system.maps for h in system.maps for pair in h), f.describe()
+            largest = max(largest, max(map(len, system.maps), default=0))
+        assert largest >= 2
+
+    def test_clause_free_family_counts_profile_matchings(self):
+        # under store alone no clause constrains a map, so the family holds
+        # every injective profile-preserving partial map: per profile class
+        # with a states on the left and b on the right, sum_k C(a,k) C(b,k) k!
+        rng = random.Random("clause-free")
+        store = frag({"store"})
+        for _ in range(40):
+            sig = small_signature(rng)
+            m, n = (
+                generate_random_model(rng.randrange(2**30), rng.randint(1, 6), rng.uniform(0.15, 0.7), sig)
+                for _ in range(2)
+            )
+
+            def profile(model, w):
+                return model.valuation[w], frozenset(k for k in sig.nominals if model.nominal_interp[k] == w)
+
+            right = Counter(profile(n, v) for v in n.states)
+            expected = math.prod(
+                sum(math.comb(a, k) * math.comb(right[p], k) * math.factorial(k) for k in range(a + 1))
+                for p, a in Counter(profile(m, w) for w in m.states).items()
+            )
+            system = max_back_and_forth(store, m, n)
+            assert len(system) == expected
+            for w in m.states:
+                for v in n.states:
+                    assert system.relates(w, v) == (profile(m, w) == profile(n, v))
+
+    @pytest.mark.parametrize("f", [DS, DAS], ids=lambda f: f.describe())
+    def test_ten_state_loop_self_pair(self, f):
+        m = fx.unrolled_model(4)
+        system = max_back_and_forth(f, m, m)
+        assert len(system) == 3228 and system.relates("0", "0")
 
 
 class TestValidateBisimFamily:
