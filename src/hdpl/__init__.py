@@ -39,7 +39,6 @@ from .kripke import (
     is_rooted,
     load_model,
     load_pointed,
-    reduct,
 )
 from .checker import game_property, satisfies
 from .gameboard import (
@@ -69,9 +68,7 @@ from .omega import (
     hennessy_milner_check,
     max_back_and_forth,
     omega_solve,
-    partial_iso_from_tuple,
     rooted_iso_check,
-    shift_family,
     validate_bisim_family,
 )
 from .seqgame import seq_survives

@@ -1,6 +1,6 @@
-"""Seeded random generators for differential suites: sentences, actions,
-gameboard trees with bounded game-sentence counts, model pairs, and the
-catalog of language fragments the suites cycle through."""
+"""Seeded random generators for differential suites: gameboard trees with
+bounded game-sentence counts and model pairs, plus the catalog of language
+fragments the suites cycle through."""
 
 from __future__ import annotations
 
@@ -9,29 +9,7 @@ import random
 from .gameboard import Edge, GameboardTree, child_signature, leaf
 from .games import predicted_theta_size
 from .kripke import KripkeModel, generate_random_model
-from .syntax import (
-    Action,
-    And,
-    At,
-    Comp,
-    Dia,
-    Exists,
-    FragmentConfig,
-    Neg,
-    Nom,
-    Prop,
-    Rel,
-    Sentence,
-    Signature,
-    Star,
-    Store,
-    Union,
-    box,
-    conj,
-    disj,
-    extend_signature,
-    forall,
-)
+from .syntax import Action, Comp, FragmentConfig, Rel, Signature, Star, Union
 
 FRAGMENTS: list[FragmentConfig] = [
     FragmentConfig(frozenset({"diamond"}), frozenset()),
@@ -55,59 +33,6 @@ def default_actions(frag: FragmentConfig) -> tuple[Action, ...]:
     if "union" in frag.action_ctors:
         actions.append(Union(Rel("l"), Star(Rel("l")) if "star" in frag.action_ctors else Rel("l")))
     return tuple(actions)
-
-
-def random_action(rng: random.Random, sig: Signature, frag: FragmentConfig, depth: int = 2) -> Action:
-    choices = ["rel"]
-    if depth > 0:
-        choices += [c for c in ("union", "comp", "star") if c in frag.action_ctors]
-    kind = rng.choice(choices)
-    if kind == "rel" or not sig.relations:
-        return Rel(rng.choice(sig.relations))
-    if kind == "union":
-        return Union(random_action(rng, sig, frag, depth - 1), random_action(rng, sig, frag, depth - 1))
-    if kind == "comp":
-        return Comp(random_action(rng, sig, frag, depth - 1), random_action(rng, sig, frag, depth - 1))
-    return Star(random_action(rng, sig, frag, depth - 1))
-
-
-def random_sentence(rng: random.Random, sig: Signature, frag: FragmentConfig, depth: int = 3) -> Sentence:
-    atoms: list[Sentence] = [Prop(p) for p in sig.props]
-    atoms += [Nom(n) for n in sig.point_names()]
-    atoms += [And(()), Neg(And(()))]
-    if depth <= 0:
-        return rng.choice(atoms)
-    kinds = ["atom", "neg", "and", "or"]
-    if "diamond" in frag.ops and sig.relations:
-        kinds += ["dia", "box"]
-    if "at" in frag.ops and sig.point_names():
-        kinds.append("at")
-    if "store" in frag.ops:
-        kinds.append("store")
-    if "exists" in frag.ops:
-        kinds += ["exists", "forall"]
-    kind = rng.choice(kinds)
-    if kind == "atom":
-        return rng.choice(atoms)
-    if kind == "neg":
-        return Neg(random_sentence(rng, sig, frag, depth - 1))
-    if kind == "and":
-        return conj([random_sentence(rng, sig, frag, depth - 1) for _ in range(rng.randint(2, 3))])
-    if kind == "or":
-        return disj([random_sentence(rng, sig, frag, depth - 1) for _ in range(rng.randint(2, 3))])
-    if kind == "dia":
-        return Dia(random_action(rng, sig, frag), random_sentence(rng, sig, frag, depth - 1))
-    if kind == "box":
-        return box(random_action(rng, sig, frag), random_sentence(rng, sig, frag, depth - 1))
-    if kind == "at":
-        return At(rng.choice(sig.point_names()), random_sentence(rng, sig, frag, depth - 1))
-    inner, var = extend_signature(sig)
-    body = random_sentence(rng, inner, frag, depth - 1)
-    if kind == "store":
-        return Store(var, body)
-    if kind == "exists":
-        return Exists(var, body)
-    return forall(var, body)
 
 
 def random_tree(

@@ -28,7 +28,6 @@ from .syntax import (
     Store,
     basic_sentences,
     box,
-    canonical_vars,
     conj,
     disj,
     extend_signature,
@@ -548,7 +547,6 @@ class NormalForm:
 
     tree: GameboardTree
     contains: Callable[[GameSentence], bool] = field(repr=False)
-    sentence: Sentence = None
 
     def holds_on(self, pm: PointedModel) -> bool:
         return self.contains(char_formula(self.tree, pm))
@@ -560,30 +558,31 @@ class NormalForm:
 def normal_form(s: Sentence, sig: Signature, frag: FragmentConfig) -> NormalForm:
     """Translate a sentence into a gameboard tree and a membership predicate
     over its game sentences, following the constructive recursion; the
-    disjunction of the selected game sentences is equivalent to `s`."""
+    disjunction of the selected game sentences is equivalent to `s`. Each
+    binder's variable is read as the canonical name that extending its
+    scope's signature gives, so the tree does not depend on binder names."""
     report = validate_in_fragment(s, frag)
     if not report.ok:
         raise FragmentViolationError(report.violations[0][1])
-    s = canonical_vars(s, sig)
     nodes: dict[GameboardTree, GameboardTree] = {}
 
     def node(scope: Signature, children: tuple = ()) -> GameboardTree:  # one object per distinct subtree
         return nodes.setdefault(tree := GameboardTree(scope, children), tree)
 
-    def rec(t: Sentence, scope: Signature) -> tuple[GameboardTree, Callable]:
+    def rec(t: Sentence, scope: Signature, env: dict[str, str]) -> tuple[GameboardTree, Callable]:
         if isinstance(t, (Prop, Nom)):
-            basics = basic_sentences(scope)
-            idx = basics.index(t)
+            basic = Nom(env.get(t.name, t.name)) if isinstance(t, Nom) else t
+            idx = basic_sentences(scope).index(basic)
             return node(scope), lambda g, i=idx: g.signs[i][1]
         if isinstance(t, Neg):
-            tr, p = rec(t.body, scope)
+            tr, p = rec(t.body, scope, env)
             return tr, lambda g, p=p: not p(g)
         if isinstance(t, And):
             if not t.items:
                 return node(scope), lambda g: True
             # group equal subtrees so idle branches stay pairwise distinct
             groups: dict[GameboardTree, list[Callable]] = {}
-            for tr, p in (rec(item, scope) for item in t.items):
+            for tr, p in (rec(item, scope, env) for item in t.items):
                 groups.setdefault(tr, []).append(p)
             tree = node(scope, tuple((Edge("idle"), gtr) for gtr in groups))
             all_preds = list(groups.values())
@@ -599,24 +598,16 @@ def normal_form(s: Sentence, sig: Signature, frag: FragmentConfig) -> NormalForm
         if isinstance(t, Dia):
             label, inner = Edge("dia", t.action), scope
         elif isinstance(t, At):
-            label, inner = Edge("at", t.name), scope
-        elif isinstance(t, Store):
-            label, inner = Edge("down"), _extend_matching(scope, t.var)
-        elif isinstance(t, Exists):
-            label, inner = Edge("exists"), _extend_matching(scope, t.var)
+            label, inner = Edge("at", env.get(t.name, t.name)), scope
+        elif isinstance(t, (Store, Exists)):
+            inner, fresh = extend_signature(scope)
+            label, env = Edge("down" if isinstance(t, Store) else "exists"), {**env, t.var: fresh}
         else:
             raise TypeError(f"not a sentence: {t!r}")
         # some member of the only part satisfies the body: exact on at and
         # store parts, which hold one member
-        tr0, p = rec(t.body, inner)
+        tr0, p = rec(t.body, inner, env)
         return node(scope, ((label, tr0),)), lambda g, p=p: any(p(m) for m in g.parts[0].members)
 
-    tree, pred = rec(s, sig)
-    return NormalForm(tree=tree, contains=pred, sentence=s)
-
-
-def _extend_matching(scope: Signature, var: str) -> Signature:
-    ext, fresh = extend_signature(scope)
-    if fresh != var:
-        raise GameError(f"binder variable '{var}' is not in canonical form")
-    return ext
+    tree, pred = rec(s, sig, {})
+    return NormalForm(tree=tree, contains=pred)

@@ -1,5 +1,5 @@
-"""Finite Kripke structures: construction, action interpretation, expansion
-and reduct, isomorphism search, reachability, random generation, JSON I/O."""
+"""Finite Kripke structures: construction, action interpretation, expansion,
+isomorphism search, reachability, random generation, JSON I/O."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from .syntax import (
     HdplError,
     Rel,
     Signature,
-    SignatureError,
     Star,
     UndeclaredSymbolError,
     Union,
@@ -182,7 +181,7 @@ class Successors(dict):
 
 
 # ---------------------------------------------------------------------------
-# Expansion and reduct
+# Expansion
 
 
 def expand(m: KripkeModel, x: str, w: str) -> KripkeModel:
@@ -193,16 +192,6 @@ def expand(m: KripkeModel, x: str, w: str) -> KripkeModel:
     interp = dict(m.nominal_interp)
     interp[x] = w
     return KripkeModel(new_sig, m.states, interp, m.relation_interp, m.valuation)
-
-
-def reduct(m: KripkeModel) -> KripkeModel:
-    """Drop the most recently added bound variable (inverse of expand)."""
-    if not m.sig.bound_vars:
-        raise SignatureError("model signature has no bound variables to drop")
-    last = m.sig.bound_vars[-1]
-    sig = Signature(m.sig.nominals, m.sig.relations, m.sig.props, m.sig.bound_vars[:-1])
-    interp = {k: v for k, v in m.nominal_interp.items() if k != last}
-    return KripkeModel(sig, m.states, interp, m.relation_interp, m.valuation)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ OPS = ("diamond", "at", "store", "exists")
 ACTION_CTORS = ("union", "comp", "star")
 
 _KEYWORDS = frozenset({"true", "false", "down", "exists", "forall"})
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
 
 class HdplError(Exception):
@@ -71,7 +72,8 @@ class SignatureError(HdplError):
 @dataclass(frozen=True)
 class Signature:
     """Finite vocabulary: nominals, binary relation names, propositional
-    symbols, plus the ordered list of variables added by extensions."""
+    symbols, plus the ordered list of variables added by extensions. Every
+    name is an identifier and no keyword, so that a formula can refer to it."""
 
     nominals: tuple[str, ...] = ()
     relations: tuple[str, ...] = ()
@@ -86,6 +88,9 @@ class Signature:
         pools = self.nominals + self.relations + self.props + self.bound_vars
         if len(set(pools)) != len(pools):
             raise SignatureError(f"signature name pools are not disjoint: {pools}")
+        bad = [x for x in pools if x in _KEYWORDS or not _IDENT_RE.fullmatch(x)]
+        if bad:
+            raise SignatureError(f"signature names that no formula can refer to: {bad}")
 
     def all_names(self) -> frozenset[str]:
         return frozenset(self.nominals + self.relations + self.props + self.bound_vars)
@@ -462,7 +467,6 @@ def _print(t: Action | Sentence, need: int) -> str:
 # ---------------------------------------------------------------------------
 # Tokenizer (shared by the sentence, action and gameboard-tree parsers)
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 # group 1 is a token, and empty on a character no token starts with
 _TOKEN_RE = re.compile(rf"({_IDENT_RE.pattern}|[()<>\[\]~&|@.;+*])|\S")
 
@@ -749,28 +753,3 @@ def validate_in_fragment(s: Sentence, frag: FragmentConfig) -> FragmentReport:
 
     walk(s, "root")
     return FragmentReport(not out, tuple(out))
-
-
-def canonical_vars(s: Sentence, sig: Signature) -> Sentence:
-    """Alpha-rename binder variables to the canonical depth-indexed names the
-    signature-extension scheme produces."""
-
-    def walk(t: Sentence, scope: Signature, env: dict[str, str]) -> Sentence:
-        if isinstance(t, Prop):
-            return t
-        if isinstance(t, Nom):
-            return Nom(env.get(t.name, t.name))
-        if isinstance(t, And):
-            return And(tuple(walk(i, scope, env) for i in t.items))
-        if isinstance(t, Neg):
-            return Neg(walk(t.body, scope, env))
-        if isinstance(t, Dia):
-            return Dia(t.action, walk(t.body, scope, env))
-        if isinstance(t, At):
-            return At(env.get(t.name, t.name), walk(t.body, scope, env))
-        if isinstance(t, (Store, Exists)):
-            inner_scope, fresh = extend_signature(scope)
-            return type(t)(fresh, walk(t.body, inner_scope, {**env, t.var: fresh}))
-        raise TypeError(f"not a sentence: {t!r}")
-
-    return walk(s, sig, {})

@@ -1,5 +1,6 @@
 """Helpers the tests share that the library itself never calls: symbol
-renamings of sentences and models, rooted random models, and occurrence
+renamings of sentences and models, canonical binder names, the reduct of an
+expansion, random sentences, actions and rooted models, and occurrence
 counts and pruning of gameboard trees."""
 
 import random
@@ -13,16 +14,22 @@ from hdpl.syntax import (
     Comp,
     Dia,
     Exists,
+    FragmentConfig,
     Neg,
     Nom,
     Prop,
     Rel,
     Sentence,
     Signature,
+    SignatureError,
     Star,
     Store,
     Union,
+    box,
     conj,
+    disj,
+    extend_signature,
+    forall,
 )
 
 
@@ -76,8 +83,96 @@ def reduct_renaming(m: KripkeModel, source_sig: Signature, mapping: dict[str, st
     return KripkeModel(source_sig, m.states, interp, rels, val)
 
 
+def canonical_vars(s: Sentence, sig: Signature) -> Sentence:
+    """Alpha-rename binder variables to the canonical depth-indexed names the
+    signature-extension scheme produces."""
+
+    def walk(t: Sentence, scope: Signature, env: dict[str, str]) -> Sentence:
+        if isinstance(t, Prop):
+            return t
+        if isinstance(t, Nom):
+            return Nom(env.get(t.name, t.name))
+        if isinstance(t, And):
+            return And(tuple(walk(i, scope, env) for i in t.items))
+        if isinstance(t, Neg):
+            return Neg(walk(t.body, scope, env))
+        if isinstance(t, Dia):
+            return Dia(t.action, walk(t.body, scope, env))
+        if isinstance(t, At):
+            return At(env.get(t.name, t.name), walk(t.body, scope, env))
+        if isinstance(t, (Store, Exists)):
+            inner_scope, fresh = extend_signature(scope)
+            return type(t)(fresh, walk(t.body, inner_scope, {**env, t.var: fresh}))
+        raise TypeError(f"not a sentence: {t!r}")
+
+    return walk(s, sig, {})
+
+
+def reduct(m: KripkeModel) -> KripkeModel:
+    """Drop the most recently added bound variable (inverse of expand)."""
+    if not m.sig.bound_vars:
+        raise SignatureError("model signature has no bound variables to drop")
+    last = m.sig.bound_vars[-1]
+    sig = Signature(m.sig.nominals, m.sig.relations, m.sig.props, m.sig.bound_vars[:-1])
+    interp = {k: v for k, v in m.nominal_interp.items() if k != last}
+    return KripkeModel(sig, m.states, interp, m.relation_interp, m.valuation)
+
+
 # ---------------------------------------------------------------------------
-# Random rooted models
+# Random sentences, actions and rooted models
+
+
+def random_action(rng: random.Random, sig: Signature, frag: FragmentConfig, depth: int = 2) -> Action:
+    choices = ["rel"]
+    if depth > 0:
+        choices += [c for c in ("union", "comp", "star") if c in frag.action_ctors]
+    kind = rng.choice(choices)
+    if kind == "rel" or not sig.relations:
+        return Rel(rng.choice(sig.relations))
+    if kind == "union":
+        return Union(random_action(rng, sig, frag, depth - 1), random_action(rng, sig, frag, depth - 1))
+    if kind == "comp":
+        return Comp(random_action(rng, sig, frag, depth - 1), random_action(rng, sig, frag, depth - 1))
+    return Star(random_action(rng, sig, frag, depth - 1))
+
+
+def random_sentence(rng: random.Random, sig: Signature, frag: FragmentConfig, depth: int = 3) -> Sentence:
+    atoms: list[Sentence] = [Prop(p) for p in sig.props]
+    atoms += [Nom(n) for n in sig.point_names()]
+    atoms += [And(()), Neg(And(()))]
+    if depth <= 0:
+        return rng.choice(atoms)
+    kinds = ["atom", "neg", "and", "or"]
+    if "diamond" in frag.ops and sig.relations:
+        kinds += ["dia", "box"]
+    if "at" in frag.ops and sig.point_names():
+        kinds.append("at")
+    if "store" in frag.ops:
+        kinds.append("store")
+    if "exists" in frag.ops:
+        kinds += ["exists", "forall"]
+    kind = rng.choice(kinds)
+    if kind == "atom":
+        return rng.choice(atoms)
+    if kind == "neg":
+        return Neg(random_sentence(rng, sig, frag, depth - 1))
+    if kind == "and":
+        return conj([random_sentence(rng, sig, frag, depth - 1) for _ in range(rng.randint(2, 3))])
+    if kind == "or":
+        return disj([random_sentence(rng, sig, frag, depth - 1) for _ in range(rng.randint(2, 3))])
+    if kind == "dia":
+        return Dia(random_action(rng, sig, frag), random_sentence(rng, sig, frag, depth - 1))
+    if kind == "box":
+        return box(random_action(rng, sig, frag), random_sentence(rng, sig, frag, depth - 1))
+    if kind == "at":
+        return At(rng.choice(sig.point_names()), random_sentence(rng, sig, frag, depth - 1))
+    inner, var = extend_signature(sig)
+    body = random_sentence(rng, inner, frag, depth - 1)
+    if kind == "store":
+        return Store(var, body)
+    if kind == "exists":
+        return Exists(var, body)
+    return forall(var, body)
 
 
 def generate_random_rooted_model(seed, n_states: int, edge_density: float, sig: Signature) -> KripkeModel:

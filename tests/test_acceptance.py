@@ -12,7 +12,6 @@ from hdpl.corpus import (
     default_actions,
     observing_tree,
     random_model_pair,
-    random_sentence,
     random_tree,
     small_signature,
 )
@@ -42,7 +41,7 @@ from hdpl.omega import (
 from hdpl.seqgame import seq_survives
 from hdpl.syntax import FragmentConfig, Rel, Signature, parse_sentence
 
-from support import generate_random_rooted_model, prune_to_height
+from support import generate_random_rooted_model, prune_to_height, random_sentence
 from test_omega import identity_family
 
 

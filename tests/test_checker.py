@@ -5,10 +5,11 @@ import zlib
 import pytest
 
 from oracle_eval import naive_satisfies
+from support import canonical_vars, random_sentence
 
 from hdpl import fixtures as fx
 from hdpl.checker import SignatureMismatchError, game_property, satisfies
-from hdpl.corpus import FRAGMENTS, random_sentence, small_signature
+from hdpl.corpus import FRAGMENTS, small_signature
 from hdpl.games import char_formula, enumerate_game_sentences, lower_game_sentence
 from hdpl.gameboard import leaf, parse_tree
 from hdpl.kripke import PointedModel, expand, generate_random_model
@@ -133,8 +134,6 @@ class TestSatisfactionCondition:
     def test_expansion_instances(self):
         # evaluating a base-signature sentence is blind to fresh expansions;
         # binders are translated along the extension so they stay fresh
-        from hdpl.syntax import canonical_vars
-
         rng = random.Random(9)
         frag = FragmentConfig.full()
         for _ in range(500):

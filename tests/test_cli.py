@@ -401,9 +401,10 @@ class TestErrors:
             ('{"states": "01"}', "states must be an array"),
             ('{"states": ["0", 1]}', "state names must be strings"),
             ('{"states": ["0"], "props": {"p": ["1"]}}', "prop 'p' holds at a state that is not in the model"),
+            ('{"states": ["0"], "props": {"p": [], "true": []}}', "no formula can refer to: ['true']"),
         ],
         ids=["malformed-json", "no-states", "holders-string", "pair-string", "states-string", "state-number",
-             "unknown-holder"],
+             "unknown-holder", "keyword-prop"],
     )
     def test_bad_model_file_exit_two(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.json"
@@ -419,8 +420,9 @@ class TestErrors:
         [
             ('{"props": 5}', "signature field 'props' must be a list of names"),
             ("{bad", "is not valid JSON"),
+            ('{"props": ["p", "a b"]}', "no formula can refer to: ['a b']"),
         ],
-        ids=["non-list-field", "malformed-json"],
+        ids=["non-list-field", "malformed-json", "non-identifier-prop"],
     )
     def test_bad_signature_file_exit_two(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.json"

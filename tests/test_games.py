@@ -10,7 +10,6 @@ from hdpl.corpus import (
     default_actions,
     observing_tree,
     random_model_pair,
-    random_sentence,
     random_tree,
     small_signature,
 )
@@ -57,7 +56,7 @@ from hdpl.syntax import (
 )
 from oracle_char import oracle_char_formula
 from oracle_ef import oracle_ef_solve
-from support import prune_to_height
+from support import canonical_vars, prune_to_height, random_sentence
 
 SIG = fx.SIG_P
 FULL = FragmentConfig.full()
@@ -580,6 +579,27 @@ class TestNormalForm:
         for _ in range(200):
             pm = random_pointed(rng, SIG)
             assert satisfies(pm, s) == nf.holds_on(pm)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(down y . y) & (down y . <l> y)",
+            "down y . <l> down z . @y <l> z",
+            "down x1 . down x0 . @x1 x0",
+            "exists y . @y <l> (p & ~y)",
+        ],
+    )
+    def test_user_named_binders(self, text):
+        # binders read as the names extending their scope gives: sibling
+        # binders that share a name, `@` to an outer binder, and names that
+        # are canonical at another depth
+        s = parse_sentence(text, SIG)
+        nf, renamed = normal_form(s, SIG, FULL), normal_form(canonical_vars(s, SIG), SIG, FULL)
+        assert nf.tree == renamed.tree
+        rng = random.Random(text)
+        for _ in range(200):
+            pm = random_pointed(rng, SIG)
+            assert nf.holds_on(pm) == satisfies(pm, s)
 
     def test_equal_subtrees_are_one_object(self):
         # type keys start with their node, so a lookup on a shared subtree

@@ -14,11 +14,10 @@ from hdpl.kripke import (
     is_rooted,
     model_from_dict,
     model_to_dict,
-    reduct,
     verify_isomorphism,
 )
 from hdpl.syntax import Comp, Rel, Signature, SignatureError, Star, Union
-from support import generate_random_rooted_model, reduct_renaming
+from support import generate_random_rooted_model, reduct, reduct_renaming
 
 SIG = Signature(nominals=("k",), relations=("l",), props=("p",))
 

@@ -35,14 +35,13 @@ from hdpl.omega import (
     hennessy_milner_check,
     max_back_and_forth,
     omega_solve,
-    partial_iso_from_tuple,
     rooted_iso_check,
-    shift_family,
     validate_bisim_family,
 )
 from hdpl.seqgame import seq_survives
 from hdpl.syntax import FragmentConfig, Rel, Signature, Star
 from oracle_bf import naive_max_back_and_forth
+from paper_lemmas import partial_iso_from_tuple, shift_family
 from support import generate_random_rooted_model
 
 

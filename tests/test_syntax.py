@@ -10,9 +10,9 @@ import zlib
 import pytest
 
 from hdpl import syntax
-from hdpl.corpus import FRAGMENTS, random_action, random_sentence, small_signature
+from hdpl.corpus import FRAGMENTS, small_signature
 from oracle_eval import naive_print, naive_print_action
-from support import rename_sentence
+from support import random_action, random_sentence, rename_sentence
 from hdpl.syntax import (
     And,
     Comp,
@@ -211,6 +211,18 @@ class TestSignature:
             Signature(props=("x0",), bound_vars=("x0",))
         with pytest.raises(SignatureError):
             extend_signature_with(extend_signature(SIG)[0], "x0")
+
+    @pytest.mark.parametrize(
+        "pool, name",
+        [("props", "true"), ("nominals", "false"), ("relations", "down"), ("props", "exists"),
+         ("bound_vars", "forall"), ("props", "a b"), ("nominals", "1k"), ("relations", "")],
+    )
+    def test_names_a_formula_cannot_refer_to_rejected(self, pool, name):
+        # the parser reads a keyword as itself and splits a non-identifier,
+        # so no formula could refer to the symbol
+        with pytest.raises(SignatureError, match="no formula can refer to"):
+            Signature(**{pool: (name,)})
+        assert Signature(props=("p'", "_q1"), nominals=("K",)).props == ("p'", "_q1")
 
     def test_from_dict_round_trip(self):
         assert Signature.from_dict(SIG.to_dict()) == SIG
