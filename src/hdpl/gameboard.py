@@ -77,18 +77,26 @@ class GameboardTree:
         return self._hash
 
     def __eq__(self, other):
-        """Structural equality, walked with a stack, each node pair once."""
         if not isinstance(other, GameboardTree):
             return NotImplemented
-        stack, seen = [(self, other)], set()
-        while stack:
-            a, b = stack.pop()
-            if a is not b and (id(a), id(b)) not in seen:
-                seen.add((id(a), id(b)))
-                if a._hash != b._hash or a.sig != b.sig or [e for e, _ in a.children] != [e for e, _ in b.children]:
-                    return False
-                stack += zip((child for _, child in a.children), (child for _, child in b.children))
-        return True
+        return dag_equal(
+            self, other, lambda t: ((t._hash, t.sig, [e for e, _ in t.children]), [c for _, c in t.children])
+        )
+
+
+def dag_equal(a, b, split) -> bool:
+    """Structural equality of two DAGs, walked with a stack, each pair of
+    objects once: `split(node)` gives the node's own fields and its children."""
+    stack, seen = [(a, b)], set()
+    while stack:
+        a, b = stack.pop()
+        if a is not b and (id(a), id(b)) not in seen:
+            seen.add((id(a), id(b)))
+            (fa, ka), (fb, kb) = split(a), split(b)
+            if fa != fb or len(ka) != len(kb):
+                return False
+            stack += zip(ka, kb)
+    return True
 
 
 def leaf(sig: Signature) -> GameboardTree:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .checker import SignatureMismatchError, basic_profiles, game_property
-from .gameboard import KINDS, Edge, GameboardTree, edge_text
+from .gameboard import KINDS, Edge, GameboardTree, dag_equal, edge_text
 from .kripke import KripkeModel, PointedModel, Successors, expand, interpret_action
 from .syntax import (
     And,
@@ -28,6 +28,7 @@ from .syntax import (
     Store,
     basic_sentences,
     box,
+    check_sentence,
     conj,
     disj,
     extend_signature,
@@ -77,21 +78,14 @@ class GSNode:
 GameSentence = GSLeaf | GSNode
 
 
+def _gs_split(g):
+    if type(g) is GSLeaf:
+        return (GSLeaf, g.signs), ()
+    return ((GSPart, g.edge, g.var), g.members) if type(g) is GSPart else (GSNode, g.parts)
+
+
 def _gs_eq(self, other) -> bool:
-    """Structural equality walked with a stack, each pair of objects once, as in `GameboardTree.__eq__`."""
-    if type(other) is not type(self):
-        return NotImplemented
-    stack, seen = [(self, other)], set()
-    while stack:
-        a, b = stack.pop()
-        if a is not b and (id(a), id(b)) not in seen:
-            seen.add((id(a), id(b)))
-            (ha, ka), (hb, kb) = ((g.signs, ()) if type(g) is GSLeaf else ((g.edge, g.var), g.members)
-                                  if type(g) is GSPart else (None, g.parts) for g in (a, b))
-            if type(a) is not type(b) or ha != hb or len(ka) != len(kb):
-                return False
-            stack += zip(ka, kb)
-    return True
+    return dag_equal(self, other, _gs_split) if type(other) is type(self) else NotImplemented
 
 
 GSLeaf.__eq__ = GSPart.__eq__ = GSNode.__eq__ = _gs_eq  # the dataclass hashes stay
@@ -561,6 +555,7 @@ def normal_form(s: Sentence, sig: Signature, frag: FragmentConfig) -> NormalForm
     disjunction of the selected game sentences is equivalent to `s`. Each
     binder's variable is read as the canonical name that extending its
     scope's signature gives, so the tree does not depend on binder names."""
+    check_sentence(s, sig, {})
     report = validate_in_fragment(s, frag)
     if not report.ok:
         raise FragmentViolationError(report.violations[0][1])

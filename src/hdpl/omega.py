@@ -745,40 +745,17 @@ def back_and_forth_hypotheses(frag: FragmentConfig) -> bool:
     return True
 
 
-def _feasible_height(sig, frag: FragmentConfig, wanted: int, budget: int = 100_000) -> int:
-    """Largest height <= wanted whose complete tree (one dia-edge per relation)
-    stays within the node budget; the at-branching grows along store chains."""
-    height = 0
-    nodes = 1
-    level = 1
-    for depth in range(wanted):
-        branching = 1  # idle
-        if "store" in frag.ops:
-            branching += 1
-        if "at" in frag.ops:
-            branching += len(sig.point_names()) + ("store" in frag.ops) * depth
-        if "diamond" in frag.ops:
-            branching += len(sig.relations)
-        level *= branching
-        nodes += level
-        if nodes > budget:
-            break
-        height = depth + 1
-    return max(1, height)
-
-
 def hennessy_milner_check(
     left: PointedModel,
     right: PointedModel,
     frag: FragmentConfig,
 ) -> HennessyMilnerReport:
-    """Compare (a) the finite games on complete trees of every height up to
-    8 that stays within the node budget, which the survivor wins iff the
-    characteristic formulas agree, (b) the countable-game verdict, and (c)
-    back-and-forth relatedness, for a quantifier-free fragment. One game on
-    the tallest tree decides (a): a complete tree offers every move at every
-    level, so the game of height h is lost iff its loss comes within h
-    rounds."""
+    """Compare (a) the finite games on complete trees of heights 1 to 8,
+    which the survivor wins iff the characteristic formulas agree, (b) the
+    countable-game verdict, and (c) back-and-forth relatedness, for a
+    quantifier-free fragment. One game on the height-8 tree decides (a): a
+    complete tree offers every move at every level, so the game of height h
+    is lost iff its loss comes within h rounds."""
     if "exists" in frag.ops:
         raise OmegaError("the image-finite harness is for quantifier-free fragments")
     res = omega_solve(frag, left, right)
@@ -786,8 +763,8 @@ def hennessy_milner_check(
     tree_frag = frag if actions or "diamond" not in frag.ops else FragmentConfig(
         frag.ops - {"diamond"}, frozenset()
     )
-    heights = tuple(range(1, _feasible_height(left.model.sig, tree_frag, 8) + 1))
-    d = ef_solve(complete_tree(left.model.sig, tree_frag, heights[-1], actions), left, right).loss_depth
+    heights = tuple(range(1, 9))
+    d = ef_solve(complete_tree(left.model.sig, tree_frag, 8, actions), left, right).loss_depth
     per_height = tuple(d is None or h < d for h in heights)
     return HennessyMilnerReport(
         fragment=frag.describe(),

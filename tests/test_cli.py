@@ -4,7 +4,7 @@ import json
 import pytest
 
 from hdpl.cli import main
-from hdpl.kripke import generate_random_model, model_to_dict
+from hdpl.kripke import generate_random_model, model_from_dict, model_to_dict
 from hdpl.syntax import Signature
 
 
@@ -176,6 +176,13 @@ class TestTree:
         code, out = run(capsys, "tree", "--validate", "--tree", str(path), "--sig", str(demo_dir / "sig_p.json"))
         assert (code, out.strip()) == (0, "ok")
 
+    def test_validate_needs_tree(self, demo_dir, capsys):
+        code = main(["tree", "--validate", "--sig", str(demo_dir / "sig_p.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --validate needs --tree\n"
+
 
 class TestOmegaCommands:
     def test_omega_verdicts(self, demo_dir, capsys):
@@ -235,6 +242,13 @@ class TestOmegaCommands:
         )
         assert (code, out.strip()) == (1, "unrelated")
 
+    def test_bf_family_size(self, demo_dir, capsys):
+        # without --pair the command reports the size of the maximal family
+        argv = ("bf", "--fragment", "diamond,store",
+                "--modelL", str(demo_dir / "loop.json"), "--modelR", str(demo_dir / "loop.json"))
+        assert run(capsys, *argv) == (0, "maximal family size: 31\n")
+        assert run_json(capsys, *argv) == (0, {"command": "bf", "family_size": 31})
+
     def test_hm_report(self, demo_dir, capsys):
         code, data = run_json(
             capsys, "hm", "--fragment", "diamond,store",
@@ -255,6 +269,29 @@ class TestOmegaCommands:
             "bf_matches_omega": False,
             "divergence_expected": True,
         }
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_hm_chains_reach_height_eight(self, n, tmp_path, capsys):
+        # l-chains of n and n + 1 states, k naming the first: the countable
+        # game is lost at rank n, so the height-8 finite game sees it under
+        # the default fragment
+        for size in (n, n + 1):
+            chain = {
+                "states": [f"s{i}" for i in range(size)],
+                "nominals": {"k": "s0"},
+                "relations": {"l": [[f"s{i}", f"s{i + 1}"] for i in range(size - 1)]},
+            }
+            (tmp_path / f"chain{size}.json").write_text(json.dumps(chain))
+        code, data = run_json(
+            capsys, "hm",
+            "--left", str(tmp_path / f"chain{n}.json") + ":s0",
+            "--right", str(tmp_path / f"chain{n + 1}.json") + ":s0",
+        )
+        assert code == 0
+        assert data["fragment"] == "diamond,at,store"
+        assert data["heights"] == list(range(1, 9))
+        assert data["char_equal_per_height"] == [h < n for h in range(1, 9)]
+        assert not data["elementary_proxy"] and not data["omega_equivalent"]
 
     def test_rootediso(self, demo_dir, capsys):
         code, data = run_json(
@@ -295,13 +332,29 @@ class TestOmegaCommands:
 
 
 class TestFuzz:
-    @pytest.mark.parametrize("suite", ["omega", "bf", "hm", "fh"])
+    @pytest.mark.parametrize("suite", ["omega", "bf", "hm", "fh", "ct"])
     def test_small_runs_pass(self, suite, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # counterexample dumps would land here
         code, out = run(capsys, "fuzz", "--suite", suite, "--cases", "15", "--seed", "3")
         assert code == 0
         assert "15/15" in out
         assert not list(tmp_path.glob("hdpl-counterexample-*"))
+
+    def test_failing_case_dumps_replayable_counterexample(self, capsys, tmp_path, monkeypatch):
+        # a sequential oracle that flips its answer fails every omega case
+        from hdpl import cli
+
+        real = cli.seq_survives
+        monkeypatch.setattr(cli, "seq_survives", lambda *args: not real(*args))
+        monkeypatch.chdir(tmp_path)
+        code, out = run(capsys, "fuzz", "--suite", "omega", "--cases", "2", "--seed", "5")
+        assert code == 1
+        assert "omega: 0/2 cases passed" in out
+        for case in range(2):
+            data = json.loads((tmp_path / f"hdpl-counterexample-5-{case}.json").read_text())
+            assert (data["suite"], data["case"]) == ("omega", case)
+            for side in ("left", "right"):
+                assert data[f"{side}_state"] in model_from_dict(data[side]).states
 
 
 class TestPlay:

@@ -44,12 +44,16 @@ from hdpl.games import (
 )
 from hdpl.kripke import PointedModel, generate_random_model, model_from_dict, model_to_dict
 from hdpl.syntax import (
+    And,
     FragmentConfig,
     Nom,
     Prop,
     Rel,
     Signature,
+    SignatureError,
     Star,
+    Store,
+    UndeclaredSymbolError,
     extend_signature,
     parse_sentence,
     print_sentence,
@@ -600,6 +604,19 @@ class TestNormalForm:
         for _ in range(200):
             pm = random_pointed(rng, SIG)
             assert nf.holds_on(pm) == satisfies(pm, s)
+
+    @pytest.mark.parametrize(
+        "s, error",
+        [
+            (And((Prop("p"), Nom("k"))), UndeclaredSymbolError),
+            (Store("p", Prop("p")), SignatureError),
+        ],
+        ids=["undeclared-nominal", "binder-named-like-prop"],
+    )
+    def test_sentence_checked_against_signature(self, s, error):
+        # the check `satisfies` makes, before any translation
+        with pytest.raises(error):
+            normal_form(s, SIG, FULL)
 
     def test_equal_subtrees_are_one_object(self):
         # type keys start with their node, so a lookup on a shared subtree

@@ -135,6 +135,54 @@ class TestIsomorphism:
         assert find_isomorphism(PointedModel(single, "0"), PointedModel(single, "1")) is None
 
 
+    def test_search_backtracks(self):
+        # a's first candidate u is consistent with r -> r, but then b (the
+        # only p-state) must go to x, which u does not reach; a goes to w
+        m = model_from_dict(
+            {"states": ["r", "a", "b", "c", "d"], "relations": {"l": [["r", "a"], ["r", "c"], ["a", "b"], ["c", "d"]]},
+             "props": {"p": ["b"]}}
+        )
+        n = model_from_dict(
+            {"states": ["r", "u", "v", "w", "x"], "relations": {"l": [["r", "u"], ["r", "w"], ["u", "v"], ["w", "x"]]},
+             "props": {"p": ["x"]}}
+        )
+        left, right = PointedModel(m, "r"), PointedModel(n, "r")
+        h = find_isomorphism(left, right)
+        assert h == {"r": "r", "a": "w", "b": "x", "c": "u", "d": "v"}
+        assert verify_isomorphism(left, right, h)
+
+    def test_verify_rejects_wrong_maps(self):
+        m = KripkeModel(SIG, ("a", "b", "c"), {"k": "a"}, {}, {})
+        two = KripkeModel(SIG, ("a", "b"), {"k": "a"}, {}, {})
+        left = PointedModel(m, "c")
+        assert verify_isomorphism(left, left, {"a": "a", "b": "b", "c": "c"})
+        assert not verify_isomorphism(left, left, {"a": "a", "b": "b", "c": "c", "z": "z"})  # not on the states
+        onto_two = {"a": "a", "b": "b", "c": "b"}  # onto, not injective
+        assert not verify_isomorphism(PointedModel(m, "a"), PointedModel(two, "a"), onto_two)
+        assert not verify_isomorphism(left, left, {"a": "b", "b": "a", "c": "c"})  # moves k
+
+
+class TestConstruction:
+    @pytest.mark.parametrize(
+        "states, nominals, relations, valuation, message",
+        [
+            ((), {}, {}, {}, "a model needs at least one state"),
+            (("a", "a"), {"k": "a"}, {}, {}, "duplicate state names"),
+            (("a",), {}, {}, {}, "nominal interpretation missing for 'k'"),
+            (("a",), {"k": "z"}, {}, {}, "nominal 'k' names unknown state 'z'"),
+            (("a",), {"k": "a", "j": "a"}, {}, {}, "interpretation for undeclared names: ['j']"),
+            (("a",), {"k": "a"}, {"r": frozenset()}, {}, "interpretation for undeclared relations: ['r']"),
+            (("a",), {"k": "a"}, {}, {"a": frozenset({"q"})}, "state 'a' carries undeclared props ['q']"),
+        ],
+        ids=["no-states", "duplicate-states", "nominal-missing", "nominal-unknown-state", "undeclared-name",
+             "undeclared-relation", "undeclared-prop"],
+    )
+    def test_invalid_models_rejected(self, states, nominals, relations, valuation, message):
+        with pytest.raises(ModelError) as err:
+            KripkeModel(SIG, states, nominals, relations, valuation)
+        assert str(err.value) == message
+
+
 class TestRooted:
     def test_single_state_no_edges(self):
         m = KripkeModel(Signature(relations=("l",)), ("w",), {}, {"l": frozenset()}, {"w": frozenset()})

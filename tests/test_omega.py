@@ -27,7 +27,6 @@ from hdpl.omega import (
     LBisimFamily,
     _Arena,
     OmegaError,
-    _feasible_height,
     action_pair_closure,
     back_and_forth_hypotheses,
     bf_related,
@@ -428,6 +427,36 @@ class TestValidateBisimFamily:
         assert not report.ok
         assert any("(forth)" in v for v in report.violations)
 
+    # a -> b -> c, p at c, k at a: the identity family is valid under FULL;
+    # each case adds or removes one entry and names the clause that breaks
+    @pytest.mark.parametrize(
+        "change, level, entry, tag",
+        [
+            ("add", 0, (((), "b"), ((), "c")), "(prop)"),
+            ("add", 0, (((), "a"), ((), "b")), "(nom)"),
+            ("add", 1, ((("a",), "a"), (("b",), "a")), "(wvar)"),
+            ("remove", 1, ((("b",), "b"), (("b",), "b")), "(atv)"),
+            ("remove", 0, (((), "a"), ((), "a")), "(atn)"),
+            ("remove", 2, ((("a", "c"), "c"), (("a", "c"), "c")), "(st)"),
+            ("remove", 1, ((("c",), "a"), (("c",), "a")), "(ex-f)"),
+            ("remove", 1, ((("c",), "a"), (("c",), "a")), "(ex-b)"),
+            ("add", 1, (((), "a"), ((), "a")), "malformed tuple lengths"),
+            ("add", 0, (((), "z"), ((), "z")), "unknown states"),
+        ],
+        ids=["prop", "nom", "wvar", "atv", "atn", "st", "ex-f", "ex-b", "length", "unknown-state"],
+    )
+    def test_each_clause_reported(self, change, level, entry, tag):
+        m = model_from_dict(
+            {"states": ["a", "b", "c"], "nominals": {"k": "a"}, "relations": {"l": [["a", "b"], ["b", "c"]]},
+             "props": {"p": ["c"]}}
+        )
+        fam = identity_family(m, 2)
+        assert validate_bisim_family(fam, FULL, m, m).ok
+        assert (entry in fam.levels[level]) == (change == "remove")
+        getattr(fam.levels[level], change)(entry)
+        report = validate_bisim_family(fam, FULL, m, m)
+        assert any(tag in v for v in report.violations), report.violations
+
 
 class TestExtractWitness:
     def test_identical_models(self):
@@ -542,18 +571,16 @@ class TestHennessyMilner:
             hennessy_milner_check(left, right, DSE)
 
     def test_heights_run_to_the_feasible_cap(self):
-        # every height up to 8 whose complete tree stays within the node
-        # budget, whatever the verdict; the finite games are lost from the
-        # loss rank on
+        # every height from 1 to 8 under every fragment, whatever the
+        # verdict; the finite games are lost from the loss rank on
         states = ["s0", "s1", "s2"]
         edges = [[a, b] for a in states for b in states if (a, b) != ("s0", "s0")]
         m = model_from_dict({"states": states, "relations": {"l": edges}, "props": {"p": states}})
         pm = PointedModel(m, "s1")
         left, right = fx.loop_pair(4)
-        for f, (lp, rp), heights in ((DS, (pm, pm), 8), (DAS, (pm, pm), 6), (DS, (left, right), 8)):
-            assert _feasible_height(lp.model.sig, f, 8) == heights
+        for f, lp, rp in ((DS, pm, pm), (DAS, pm, pm), (DS, left, right)):
             report = hennessy_milner_check(lp, rp, f)
-            assert report.heights == tuple(range(1, heights + 1))
+            assert report.heights == tuple(range(1, 9))
             rank = omega_solve(f, lp, rp).loss_rank()
             expected = tuple(rank is None or h < rank for h in report.heights)
             assert report.char_equal_per_height == expected
