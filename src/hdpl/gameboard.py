@@ -12,6 +12,7 @@ Text format:
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
 
@@ -54,7 +55,7 @@ class Edge(namedtuple("Edge", "kind arg")):
     __slots__ = ()
 
     def __new__(cls, kind: str, arg: Action | str | None = None):
-        if kind not in KINDS or (arg is None) == (kind in ("at", "dia")):
+        if kind not in KINDS or not isinstance(arg, {"at": str, "dia": Action}.get(kind, type(None))):
             raise TreeError(f"not an edge label: {kind!r} with argument {arg!r}")
         return tuple.__new__(cls, (kind, arg))
 
@@ -165,32 +166,15 @@ def validate_tree(tr: GameboardTree, frag: FragmentConfig) -> TreeReport:
                 what = "idle edge (same subtree)" if idle else "sibling label"
                 problems.append(f"duplicate {what} at {spell(here)}")
             seen.add((label, child) if idle else label)
-            op, binds = KINDS[label.kind]
             if child.sig != child_signature(node.sig, label.kind):
-                if binds:
+                if KINDS[label.kind][1]:
                     problems.append(
                         f"child signature under {edge_text(label)} at {spell(here)} is not the"
                         f" parent extended by the next fresh variable"
                     )
                 else:
                     problems.append(f"child signature changes across {edge_text(label)} at {spell(here)}")
-            if op is not None and op not in frag.ops:
-                problems.append(f"edge kind '{op}' not enabled at {spell(here)}")
-            if label.kind == "dia":
-                ctors, rels = set(), set()
-                for _, a in walk_action(label.arg):
-                    if isinstance(a, Rel):
-                        rels.add(a.name)
-                    else:
-                        ctors.add(ACTION_CTOR[type(a)])
-                bad_ctors = ctors - frag.action_ctors
-                if bad_ctors:
-                    problems.append(f"action constructors {sorted(bad_ctors)} not enabled at {spell(here)}")
-                undeclared = rels - set(node.sig.relations)
-                if undeclared:
-                    problems.append(f"undeclared relations {sorted(undeclared)} at {spell(here)}")
-            elif label.kind == "at" and label.arg not in node.sig.point_names():
-                problems.append(f"undeclared name '{label.arg}' at {spell(here)}")
+            problems.extend(f"{p} at {spell(here)}" for p in _label_problems(node.sig, label, frag))
             if id(child) not in clean:
                 stack.append((child, here, len(problems), set(), enumerate(child.children)))
                 break
@@ -199,6 +183,24 @@ def validate_tree(tr: GameboardTree, frag: FragmentConfig) -> TreeReport:
             if len(problems) == before:
                 clean.add(id(node))
     return TreeReport(not problems, tuple(problems))
+
+
+def _label_problems(sig: Signature, label: Edge, frag: FragmentConfig) -> Iterator[str]:
+    """The problems of an edge label out of a node over `sig`, its siblings
+    and child aside, each to be followed by the edge's path."""
+    op = KINDS[label.kind][0]
+    if op is not None and op not in frag.ops:
+        yield f"edge kind '{op}' not enabled"
+    if label.kind == "dia":
+        parts = [a for _, a in walk_action(label.arg)]
+        bad_ctors = {ACTION_CTOR[type(a)] for a in parts if not isinstance(a, Rel)} - frag.action_ctors
+        undeclared = {a.name for a in parts if isinstance(a, Rel)}.difference(sig.relations)
+        if bad_ctors:
+            yield f"action constructors {sorted(bad_ctors)} not enabled"
+        if undeclared:
+            yield f"undeclared relations {sorted(undeclared)}"
+    elif label.kind == "at" and label.arg not in sig.point_names():
+        yield f"undeclared name '{label.arg}'"
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +215,14 @@ def complete_tree(
 ) -> GameboardTree:
     """The tree exploring, at every node above the leaves, exactly one move
     per enabled option: idle, store, exists, one at-edge per nominal and
-    bound variable, and one dia-edge per supplied action. All subtrees have
+    bound variable, and one dia-edge per distinct supplied action (equal
+    actions are one term), the first of repeats kept. All subtrees have
     equal height. Each distinct subtree is built once, one per (signature,
     height): the idle, at and dia edges of a node share one child, and its
     store and exists edges another."""
     if height < 0:
         raise TreeError("height must be >= 0")
-    actions = tuple(actions)
+    actions = tuple(dict.fromkeys(actions))
     if "diamond" in frag.ops and not actions:
         raise TreeError("diamond is enabled but the action list is empty")
 
@@ -254,15 +257,17 @@ def print_tree(tr: GameboardTree) -> str:
 def parse_tree(text: str, sig: Signature, frag: FragmentConfig | None = None) -> GameboardTree:
     """Parse the text format against a root signature, in one loop over the
     tokens with an explicit stack, so trees may nest as deeply as memory
-    allows. Each distinct subtree is built once, so equal subtrees of the
-    result are one object. If a fragment is given, the result is validated
-    and an invalid tree raises TreeError."""
+    allows. Each distinct subtree is built once, and each dia label met
+    before is not parsed again. With a fragment, labels and siblings are
+    checked as the tables take them in; an invalid tree raises TreeError."""
     ts = _TokenStream(text)
     toks = ts.tokens
     # keys hold a signature by id, as one call meets one per binding depth
     nodes: dict = {}  # (signature id, children) -> node
-    edges: dict = {}  # (kind, arg) -> Edge
+    edges: dict = {}  # (kind, arg) -> Edge, checked when added
+    labels: list = []  # (tokens, action) of the first dia labels parsed
     stack: list = []  # open nodes, innermost last: [signature, branch?, children]
+    valid = True
     i = 0
     while True:
         tok = toks[i]
@@ -291,7 +296,11 @@ def parse_tree(text: str, sig: Signature, frag: FragmentConfig | None = None) ->
                 i += 2 if branch else 1
                 stack.pop()
                 key = (id(sig), tuple(children))
-                node = nodes.get(key) or nodes.setdefault(key, GameboardTree(sig, key[1]))
+                node = nodes.get(key)
+                if node is None:
+                    node = nodes[key] = GameboardTree(sig, key[1])
+                    if frag is not None:  # the edge table checked the labels; siblings are left
+                        valid = valid and len({(e, c) if e.kind == "idle" else e for e, c in children}) == len(children)
             else:
                 break
         # an edge of the innermost open node starts at token i: its label
@@ -301,7 +310,16 @@ def parse_tree(text: str, sig: Signature, frag: FragmentConfig | None = None) ->
         if kind == "at":
             arg = ts.ident("nominal or variable")
         elif kind == "dia":
-            arg = _parse_act_union(ts, sig, _ALL_ACTIONS)
+            # one call's signatures share their relations: equal tokens not followed by '*', ';' or '+' are one action
+            for span, arg in labels:
+                end = i + 1 + len(span)
+                if toks[i + 1 : end] == span and toks[end] not in ("*", ";", "+"):
+                    ts.i = end
+                    break
+            else:
+                arg = _parse_act_union(ts, sig, _ALL_ACTIONS)
+                if len(labels) < 8:  # trees name few; a longer table costs more than it saves
+                    labels.append((toks[i + 1 : ts.i], arg))
         elif kind in KINDS:
             arg = None
         else:
@@ -309,14 +327,16 @@ def parse_tree(text: str, sig: Signature, frag: FragmentConfig | None = None) ->
             ts.ident("edge kind")
             ts.fail(f"unknown edge kind {kind!r}", i)
         i = ts.i
-        stack[-1][2].append(edges.get((kind, arg)) or edges.setdefault((kind, arg), Edge(kind, arg)))
+        label = edges.get((kind, arg))
+        if label is None or kind == "at":  # an at name must be in scope wherever it occurs
+            label = label or edges.setdefault((kind, arg), Edge(kind, arg))
+            valid = valid and (frag is None or not any(_label_problems(sig, label, frag)))
+        stack[-1][2].append(label)
         sig = child_signature(sig, kind)
     if toks[i] is not None:
         ts.fail(f"trailing input {toks[i]!r}", i)
-    if frag is not None:
-        report = validate_tree(node, frag)
-        if not report.ok:
-            raise TreeError(f"invalid tree: {report}")
+    if not valid:
+        raise TreeError(f"invalid tree: {validate_tree(node, frag)}")
     return node
 
 

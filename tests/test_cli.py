@@ -161,6 +161,14 @@ class TestTree:
         )
         assert code2 == 0
 
+    def test_complete_tree_with_repeated_actions_validates(self, demo_dir, capsys):
+        sig = ("--sig", str(demo_dir / "sig_p.json"), "--fragment", "diamond")
+        for actions in ("l,l", "l,(l)"):
+            code, out = run(capsys, "tree", "--complete", "--height", "1", "--actions", actions, *sig)
+            assert (code, out.strip()) == (0, "(branch (idle leaf) (dia l leaf))")
+            code, out = run(capsys, "tree", "--validate", "--tree", out.strip(), *sig)
+            assert code == 0, out
+
     def test_invalid_tree_exit_one(self, demo_dir, capsys):
         code, out = run(
             capsys, "tree", "--validate", "--tree", "(branch (idle leaf) (idle leaf))",

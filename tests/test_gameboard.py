@@ -5,6 +5,7 @@ import re
 import pytest
 
 from hdpl import fixtures as fx
+from hdpl import gameboard
 from hdpl.corpus import FRAGMENTS, default_actions, random_tree, small_signature
 from hdpl.gameboard import (
     Edge,
@@ -17,7 +18,18 @@ from hdpl.gameboard import (
     validate_tree,
 )
 from hdpl.kripke import generate_random_model
-from hdpl.syntax import Comp, FragmentConfig, ParseError, Rel, Signature, Star, Union, extend_signature
+from hdpl.syntax import (
+    Comp,
+    FragmentConfig,
+    ParseError,
+    Rel,
+    Signature,
+    Star,
+    Union,
+    extend_signature,
+    parse_action,
+    print_action,
+)
 from support import count_nodes, prune_to_height, tree_height
 
 SIG = fx.SIG_P
@@ -142,7 +154,17 @@ class TestValidate:
 class TestEdge:
     @pytest.mark.parametrize(
         "kind, arg",
-        [("store", None), ("walk", None), ("dia", None), ("at", None), ("idle", "k"), ("down", Rel("l"))],
+        [
+            ("store", None),
+            ("walk", None),
+            ("dia", None),
+            ("at", None),
+            ("idle", "k"),
+            ("down", Rel("l")),
+            # a dia edge takes an action term and an at edge a name
+            ("dia", "l"),
+            ("at", Rel("l")),
+        ],
     )
     def test_rejects_a_bad_kind_or_argument(self, kind, arg):
         with pytest.raises(TreeError):
@@ -190,6 +212,16 @@ class TestCompleteTree:
         for f in FRAGMENTS:
             tr = complete_tree(SIG, f, 2, (Rel("l"),))
             assert validate_tree(tr, f).ok
+
+    def test_repeated_actions_give_one_edge(self):
+        # equal actions are one term, whatever text they were parsed from
+        actions = (Rel("l"), parse_action("(l)", SIG), Rel("l"))
+        for f in FRAGMENTS:
+            tr = complete_tree(SIG, f, 2, actions)
+            assert validate_tree(tr, f).ok
+            assert [label.arg for label, _ in tr.children if label.kind == "dia"] == [Rel("l")]
+        tr = complete_tree(SIG, FULL, 1, (Star(Rel("l")), Rel("l"), Star(Rel("l"))))
+        assert [label.arg for label, _ in tr.children if label.kind == "dia"] == [Star(Rel("l")), Rel("l")]
 
     def test_pruning_chain(self):
         for h in range(1, 4):
@@ -377,6 +409,91 @@ def test_mutated_tree_texts_unchanged():
     assert (count, digest.hexdigest()) == MUTATION_DIGEST
 
 
+def assert_validation_folds(text, sig, f):
+    """Parsing with a fragment gives the tree parsing without one gives, or
+    the TreeError that validating that tree calls for."""
+    plain = parse_tree(text, sig)
+    report = validate_tree(plain, f)
+    if report.ok:
+        assert parse_tree(text, sig, f) == plain
+    else:
+        with pytest.raises(TreeError) as err:
+            parse_tree(text, sig, f)
+        assert str(err.value) == f"invalid tree: {report}"
+    return report
+
+
+class TestValidationWhileParsing:
+    def test_corpus_trees_under_every_fragment(self):
+        rng = random.Random(28)
+        for gen_frag in FRAGMENTS:
+            for _ in range(40):
+                sig = small_signature(rng)
+                text = print_tree(random_tree(rng, sig, gen_frag, default_actions(gen_frag)))
+                for f in FRAGMENTS:
+                    assert_validation_folds(text, sig, f)
+
+    @pytest.mark.parametrize(
+        "text, f, problem",
+        [
+            ("(branch (idle leaf) (dia l (down leaf)))", frag({"diamond"}), "edge kind 'store' not enabled"),
+            ("(dia l (branch (idle leaf) (at x0 leaf)))", FULL, "undeclared name 'x0'"),
+            ("(dia l (dia l* leaf))", frag({"diamond"}), "action constructors ['star'] not enabled"),
+            ("(down (branch (dia l leaf) (dia l (idle leaf))))", FULL, "duplicate sibling label"),
+            ("(dia l (branch (idle leaf) (idle (dia l leaf)) (idle leaf)))", FULL, "duplicate idle edge"),
+        ],
+    )
+    def test_one_node_fails_one_check(self, text, f, problem):
+        report = assert_validation_folds(text, SIG, f)
+        assert len(report.problems) == 1 and report.problems[0].startswith(problem)
+
+    def test_a_later_syntax_error_wins(self):
+        with pytest.raises(ParseError):
+            parse_tree("(branch (down leaf) (idle leaf) leaf)", SIG, frag({"diamond"}))
+
+
+class TestLabelTable:
+    def test_a_repeated_label_followed_by_an_operator_parses_on(self):
+        tr = parse_tree("(branch (dia l leaf) (dia l * leaf))", SIG)
+        assert [label.arg for label, _ in tr.children] == [Rel("l"), Star(Rel("l"))]
+        sig = Signature(relations=("l", "leaf"))
+        tr = parse_tree("(branch (dia l leaf) (dia l + leaf leaf))", sig)
+        assert [label.arg for label, _ in tr.children] == [Rel("l"), Union(Rel("l"), Rel("leaf"))]
+        assert tr.children[1][1] == leaf(sig)
+
+    def test_relations_named_like_tree_words(self):
+        sig = Signature(relations=("leaf", "idle"))
+        tr = parse_tree("(branch (dia leaf leaf) (dia idle (dia leaf (idle leaf))) (idle (dia idle leaf)))", sig)
+        assert [label for label, _ in tr.children] == [Edge("dia", Rel("leaf")), Edge("dia", Rel("idle")), Edge("idle")]
+        ((label, child),) = tr.children[1][1].children
+        assert label == Edge("dia", Rel("leaf")) and child.children == ((Edge("idle"), leaf(sig)),)
+
+    def test_an_undeclared_relation_in_a_later_label(self):
+        # the messages and positions of the parser that parsed every label
+        for text, expected in [
+            ("(branch (dia l leaf) (dia l;m leaf))", 28),
+            ("(branch (dia l* leaf) (dia l (dia l*;m leaf)))", 37),
+        ]:
+            for f in (None, FULL):
+                assert outcome(text, SIG, f) == f"UndeclaredSymbolError: undeclared symbol 'm' (at position {expected})"
+
+    def test_each_distinct_label_is_parsed_once(self, monkeypatch):
+        parse_act = gameboard._parse_act_union
+        starts = []
+        monkeypatch.setattr(gameboard, "_parse_act_union", lambda ts, *rest: starts.append(ts.i) or parse_act(ts, *rest))
+        tr = complete_tree(SIG, FULL, 3, (Rel("l"), Star(Rel("l"))))
+        assert parse_tree(print_tree(tr), SIG, FULL) == tr
+        assert len(starts) == 2
+
+    def test_more_distinct_labels_than_the_table_keeps(self):
+        sig = Signature(relations=tuple(f"r{i}" for i in range(12)))
+        actions = [Rel(f"r{i}") for i in range(12)] + [Comp(Rel("r11"), Rel("r0"))]
+        text = "(branch " + " ".join(f"(dia {print_action(a)} leaf)" for a in actions) + " (idle (dia r0 (dia r11 leaf))))"
+        tr = parse_tree(text, sig, FULL)
+        assert [label.arg for label, _ in tr.children[:-1]] == actions
+        assert print_tree(tr) == text
+
+
 def occurrences(tr):
     yield tr
     for _, child in tr.children:
@@ -436,6 +553,14 @@ class TestDeepTrees:
         for _ in range(depth):
             ((label, tr),) = tr.children
             assert label == Edge("idle")
+        assert tr == leaf(SIG)
+
+    def test_deep_dia_star_chain(self):
+        depth = 10000
+        tr = parse_tree("(dia l* " * depth + "leaf" + ")" * depth, SIG, FULL)
+        for _ in range(depth):
+            ((label, tr),) = tr.children
+            assert label == Edge("dia", Star(Rel("l")))
         assert tr == leaf(SIG)
 
     def test_deep_chains_compare(self):
