@@ -1,9 +1,9 @@
 """Local satisfaction of sentences on pointed models, and basic-sentence
-agreement between two pointed models or between all pairs of their states."""
+agreement between two pointed models."""
 
 from __future__ import annotations
 
-from .kripke import KripkeModel, PointedModel
+from .kripke import PointedModel
 from .syntax import (
     And,
     At,
@@ -79,22 +79,4 @@ def game_property(pmL: PointedModel, pmR: PointedModel) -> bool:
     mL, mR = pmL.model, pmR.model
     if mL.sig != mR.sig:
         raise SignatureMismatchError(f"signatures differ: {mL.sig} vs {mR.sig}")
-    return basic_profiles(mL)[pmL.current] == basic_profiles(mR)[pmR.current]
-
-
-def basic_profiles(m: KripkeModel) -> dict[str, tuple]:
-    """Each state's basic profile: its propositions, and the signature's
-    nominals and variables that name it, in signature order. Two states
-    satisfy the same basic sentences iff their profiles are equal."""
-    names: dict[str, tuple] = {}
-    for x in m.sig.point_names():
-        w = m.nominal_interp[x]
-        names[w] = names.get(w, ()) + (x,)
-    return {w: (m.valuation[w], names.get(w, ())) for w in m.states}
-
-
-def basic_agreement(m: KripkeModel, n: KripkeModel) -> dict[tuple[str, str], bool]:
-    """Whether each left/right pair of states satisfies the same basic
-    sentences: the same propositions and the same nominal/variable equations."""
-    pm, pn = basic_profiles(m), basic_profiles(n)
-    return {(w, v): pm[w] == pn[v] for w in m.states for v in n.states}
+    return mL.profiles[pmL.current] == mR.profiles[pmR.current]

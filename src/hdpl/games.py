@@ -9,7 +9,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .checker import SignatureMismatchError, basic_profiles, game_property
+from .checker import SignatureMismatchError, game_property
 from .gameboard import KINDS, Edge, GameboardTree, dag_equal, edge_text
 from .kripke import KripkeModel, PointedModel, Successors, expand, interpret_action
 from .syntax import (
@@ -210,7 +210,7 @@ def _type_pass(m: KripkeModel, table: dict[tuple, int], memo: dict):
     a type's children have smaller ids. By induction over the tree two
     configurations get one id iff they satisfy the same game sentence. The
     recursion takes one frame per tree level."""
-    succ, states, profile = m.succ, m.states, basic_profiles(m)
+    succ, states, profile = m.succ, m.states, m.profiles
 
     def tid(node: GameboardTree, w: str, env: tuple[str, ...]) -> int:
         key = (id(node), w, env)

@@ -7,6 +7,7 @@ import json
 import random
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .syntax import (
@@ -83,20 +84,29 @@ class KripkeModel:
     def __hash__(self):  # pragma: no cover - models are not meant to be hashed
         raise TypeError("KripkeModel is not hashable; key on states instead")
 
-    @property
+    @cached_property
     def succ(self) -> "Successors":
         """The successor maps of this model's actions, built on first use. They
         reach the model through a weak proxy, so the two form no cycle."""
-        if "_succ" not in self.__dict__:
-            object.__setattr__(self, "_succ", Successors(weakref.proxy(self)))
-        return self._succ
+        return Successors(weakref.proxy(self))
 
-    @property
+    @cached_property
     def sat_cache(self) -> tuple[dict, dict]:
-        """The memo and checked terms all `satisfies` calls on this model share."""
-        if "_sat" not in self.__dict__:
-            object.__setattr__(self, "_sat", ({}, {}))
-        return self._sat
+        """The memo and checked terms all `satisfies` calls on this model share.
+        It lives as long as the model, so a long-lived caller bounds it by
+        building a fresh model."""
+        return {}, {}
+
+    @cached_property
+    def profiles(self) -> dict[str, tuple]:
+        """Each state's basic profile: its propositions, and the signature's
+        nominals and variables that name it, in signature order. Two states
+        satisfy the same basic sentences iff their profiles are equal."""
+        names: dict[str, tuple] = {}
+        for x in self.sig.point_names():
+            w = self.nominal_interp[x]
+            names[w] = names.get(w, ()) + (x,)
+        return {w: (self.valuation[w], names.get(w, ())) for w in self.states}
 
 
 @dataclass(frozen=True, eq=True)
@@ -262,25 +272,21 @@ def find_isomorphism(pm: PointedModel, pn: PointedModel) -> dict[str, str] | Non
                 return False
         return True
 
-    def search(i: int, h: dict[str, str], used: set[str]) -> dict[str, str] | None:
-        if i == len(order):
-            return dict(h)
-        w = order[i]
-        candidates = [pn.current] if w == pm.current else [v for v in n.states if v not in used]
-        for v in candidates:
-            if v in used:
-                continue
-            if consistent(h, w, v):
-                h[w] = v
-                used.add(v)
-                found = search(i + 1, h, used)
-                if found is not None:
-                    return found
-                del h[w]
-                used.discard(v)
-        return None
-
-    result = search(0, {}, set())
+    # backtracking on an explicit stack: per level of `order`, an iterator over
+    # the candidates it has not tried yet; `h` holds each level's current choice
+    h: dict[str, str] = {}
+    stack = [iter([pn.current])]
+    while stack and len(h) < len(order):
+        w = order[len(stack) - 1]
+        h.pop(w, None)  # back from a deeper level that failed: undo this level's choice
+        v = next((v for v in stack[-1] if consistent(h, w, v)), None)
+        if v is None:
+            stack.pop()
+        else:
+            h[w] = v
+            used = set(h.values())
+            stack.append(iter([x for x in n.states if x not in used]))
+    result = h if stack else None
     if result is not None and not verify_isomorphism(pm, pn, result):
         raise ModelError("internal error: isomorphism failed re-verification")
     return result

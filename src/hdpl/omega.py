@@ -26,7 +26,7 @@ from collections.abc import Iterator, Set
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
-from .checker import SignatureMismatchError, basic_profiles
+from .checker import SignatureMismatchError
 from .gameboard import complete_tree
 from .games import ef_solve
 from .kripke import (
@@ -148,7 +148,7 @@ class _Arena:
         self.left, self.right = tuple(sorted(m.states)), tuple(sorted(n.states))
         self.S = len(self.left) * len(self.right)
         self.low = (1 << self.S) - 1
-        ids, pl, pr = {}, basic_profiles(m), basic_profiles(n)  # profiles numbered per state of L, then of R
+        ids, pl, pr = {}, m.profiles, n.profiles  # profiles numbered per state of L, then of R
         self.profiles = [ids.setdefault(p, len(ids)) for p in (*map(pl.get, self.left), *map(pr.get, self.right))]
         self.agree = [a == b for a in self.profiles[: len(self.left)] for b in self.profiles[len(self.left) :]]
         self.templates: list[list[list[int]] | None] = [None] * self.S  # diamond and @k reply pairs
@@ -277,10 +277,6 @@ class OmegaResult:
     @property
     def eloise_wins(self) -> bool:
         return self.winner == "eloise"
-
-    @property
-    def init(self) -> tuple[frozenset[Pair], Pair]:
-        return self._arena.decode(self.start)
 
     def _rank(self, pos: int) -> int:
         """The first depth at which the survivor cannot last from `pos` (the
@@ -436,9 +432,6 @@ class LBisimFamily:
     def entries(self, level: int) -> set[Entry]:
         return self.levels.get(level, set())
 
-    def relates(self, w: str, v: str) -> bool:
-        return (((), w), ((), v)) in self.entries(0)
-
     def size(self) -> int:
         return sum(len(s) for s in self.levels.values())
 
@@ -558,26 +551,17 @@ def extract_bisim_witness(
 # ---------------------------------------------------------------------------
 # Basic partial isomorphisms and back-and-forth systems
 
-PartialMap = frozenset[Pair]
-
 
 @dataclass
 class BackAndForthSystem:
     """The maximal family of basic partial isomorphisms closed under the
     extension clauses the fragment enables; possibly empty. `codes` keeps
     each map as the bitmask of `max_back_and_forth`, bit i*|right| + u for
-    left state i sent to right state u; `maps` decodes them on first use."""
+    left state i sent to right state u."""
 
     codes: frozenset[int]
     left: tuple[str, ...]
     right: tuple[str, ...]
-
-    @cached_property
-    def maps(self) -> frozenset[PartialMap]:
-        width = len(self.right)
-        return frozenset(
-            frozenset((self.left[c // width], self.right[c % width]) for c in _bit_codes(code)) for code in self.codes
-        )
 
     def relates(self, w: str, v: str) -> bool:
         # the family is subset-closed, so it relates (w, v) iff it holds {(w, v)}

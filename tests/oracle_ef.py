@@ -6,7 +6,7 @@ type ids: this search explores the product of both sides, one position per
 (node, left state, left environment, right state, right environment).
 """
 
-from hdpl.checker import SignatureMismatchError, basic_agreement
+from hdpl.checker import SignatureMismatchError
 from hdpl.gameboard import GameboardTree, edge_text
 from hdpl.games import EfResult, TraceStep, _holds_a_set, _moves
 from hdpl.kripke import PointedModel
@@ -32,7 +32,13 @@ def oracle_ef_solve(tr: GameboardTree, left: PointedModel, right: PointedModel) 
         raise SignatureMismatchError("both models must share the tree root signature")
     sl, sr = Lm.succ, Rm.succ
 
-    basic = basic_agreement(Lm, Rm)  # the root names; the environments cover the rest
+    names = tr.sig.point_names()  # the root names; the environments cover the rest
+    basic = {
+        (w, v): Lm.valuation[w] == Rm.valuation[v]
+        and all((Lm.nominal_interp[k] == w) == (Rm.nominal_interp[k] == v) for k in names)
+        for w in Lm.states
+        for v in Rm.states
+    }
 
     def agree(Lw, Lenv, Rv, Renv) -> bool:
         if not basic[(Lw, Rv)]:

@@ -1,12 +1,14 @@
 """Helpers the tests share that the library itself never calls: symbol
 renamings of sentences and models, canonical binder names, the reduct of an
-expansion, random sentences, actions and rooted models, and occurrence
-counts and pruning of gameboard trees."""
+expansion, random sentences, actions and rooted models, occurrence counts
+and pruning of gameboard trees, and readings of the omega module's families
+by state names."""
 
 import random
 
 from hdpl.gameboard import GameboardTree, leaf
 from hdpl.kripke import KripkeModel, ModelError, PointedModel, generate_random_model, is_rooted
+from hdpl.omega import BackAndForthSystem, LBisimFamily
 from hdpl.syntax import (
     Action,
     And,
@@ -215,3 +217,23 @@ def prune_to_height(tr: GameboardTree, height: int) -> GameboardTree:
         tr.sig,
         tuple((label, prune_to_height(child, height - 1)) for label, child in tr.children),
     )
+
+
+# ---------------------------------------------------------------------------
+# Families by state names
+
+
+def bf_maps(system: BackAndForthSystem) -> frozenset[frozenset[tuple[str, str]]]:
+    """The maps of a back-and-forth system as sets of state pairs: bit
+    i*|right| + u of a code sends left state i to right state u."""
+    width = len(system.right)
+    bits = range(len(system.left) * width)
+    return frozenset(
+        frozenset((system.left[c // width], system.right[c % width]) for c in bits if code >> c & 1)
+        for code in system.codes
+    )
+
+
+def family_relates(fam: LBisimFamily, w: str, v: str) -> bool:
+    """Whether the level-0 entries of a bisimulation family relate w and v."""
+    return (((), w), ((), v)) in fam.entries(0)

@@ -1,7 +1,9 @@
-"""The package's public surface: the pinned export list, and a scan for
-top-level definitions in `src/hdpl` that no product code reaches."""
+"""The package's public surface: the pinned export list, and scans for
+top-level definitions and class members in `src/hdpl` that no product code
+reaches."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import hdpl
@@ -52,3 +54,27 @@ def unreferenced_definitions(root: Path) -> list[str]:
 
 def test_no_unreferenced_definitions():
     assert unreferenced_definitions(ROOT) == []
+
+
+def unreferenced_members(root: Path) -> list[str]:
+    """The methods and properties of the classes of `root/src/hdpl/*.py`,
+    dunder methods aside, whose name no attribute read in `root/src/hdpl/*.py`
+    or `root/perfbench/*.py` uses outside the member's own body. The scan goes
+    by name, so a member named like a member read elsewhere passes."""
+    reads, members = Counter(), []
+    product = sorted((root / "src" / "hdpl").glob("*.py"))
+    for path in product + sorted((root / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+        if path not in product:
+            continue
+        for cls in (stmt for stmt in tree.body if isinstance(stmt, ast.ClassDef)):
+            for f in cls.body:
+                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and not f.name.startswith("__"):
+                    own = sum(isinstance(n, ast.Attribute) and n.attr == f.name for n in ast.walk(f))
+                    members.append((f"{cls.name}.{f.name}", f.name, own))
+    return [member for member, name, own in members if reads[name] == own]
+
+
+def test_no_unreferenced_members():
+    assert unreferenced_members(ROOT) == []

@@ -242,6 +242,20 @@ class TestOmegaCommands:
         )
         assert (code, data["winner"], data["loss_rank"]) == (1, "abelard", 200)
 
+    def test_iso_long_chain(self, tmp_path, capsys):
+        # the isomorphism search backtracks on an explicit stack, so a chain
+        # longer than the recursion limit is no error
+        n = 1100
+        chain = {
+            "states": [f"s{i}" for i in range(n)],
+            "relations": {"l": [[f"s{i}", f"s{i + 1}"] for i in range(n - 1)]},
+            "props": {"p": ["s0"]},
+        }
+        ref = str(tmp_path / "chain.json") + ":s0"
+        (tmp_path / "chain.json").write_text(json.dumps(chain))
+        code, out = run(capsys, "iso", "--left", ref, "--right", ref)
+        assert (code, json.loads(out)) == (0, {f"s{i}": f"s{i}" for i in range(n)})
+
     def test_bf_pair(self, demo_dir, capsys):
         code, out = run(
             capsys, "bf", "--fragment", "diamond,store",

@@ -150,6 +150,18 @@ class TestIsomorphism:
         h = find_isomorphism(left, right)
         assert h == {"r": "r", "a": "w", "b": "x", "c": "u", "d": "v"}
         assert verify_isomorphism(left, right, h)
+        # on two 3-cycles, a's first candidate y leaves b (a p-state) no image;
+        # the choice a -> y must leave the map before a tries z
+        m = model_from_dict(
+            {"states": ["r", "a", "b", "c"], "relations": {"l": [["a", "c"], ["b", "a"], ["c", "b"]]},
+             "props": {"p": ["r", "b"]}}
+        )
+        n = model_from_dict(
+            {"states": ["r", "x", "y", "z"], "relations": {"l": [["x", "z"], ["y", "x"], ["z", "y"]]},
+             "props": {"p": ["r", "x"]}}
+        )
+        left, right = PointedModel(m, "r"), PointedModel(n, "r")
+        assert find_isomorphism(left, right) == {"r": "r", "a": "z", "b": "x", "c": "y"}
 
     def test_verify_rejects_wrong_maps(self):
         m = KripkeModel(SIG, ("a", "b", "c"), {"k": "a"}, {}, {})
