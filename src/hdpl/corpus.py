@@ -42,10 +42,9 @@ def random_tree(
     actions: tuple[Action, ...],
     max_height: int = 3,
     theta_cap: int = 512,
-    attempts: int = 40,
 ) -> GameboardTree:
     """A random valid tree whose predicted game-sentence count stays within
-    the cap; shrinks the height on repeated failures."""
+    the cap; shrinks the height on repeated failures, a leaf after 40 draws."""
 
     def build(scope: Signature, height: int) -> GameboardTree:
         if height == 0 or rng.random() < 0.3:
@@ -76,7 +75,7 @@ def random_tree(
         return GameboardTree(scope, tuple(children))
 
     height = max_height
-    for i in range(attempts):
+    for i in range(40):
         tr = build(sig, height)
         if predicted_theta_size(tr, theta_cap) <= theta_cap:
             return tr
@@ -113,17 +112,16 @@ def random_model_pair(
     rng: random.Random,
     sig: Signature,
     max_states: int = 4,
-    same_chance: float = 0.25,
 ) -> tuple[KripkeModel, KripkeModel]:
-    """Two random models over a shared signature; sometimes literally equal,
-    sometimes perturbed copies, so equivalence verdicts are well mixed."""
+    """Two random models over a shared signature: one object (25%), two draws
+    (35%) or a perturbed copy, so equivalence verdicts are well mixed."""
     n = rng.randint(1, max_states)
     density = rng.uniform(0.15, 0.7)
     m = generate_random_model(rng.randrange(2**30), n, density, sig)
     roll = rng.random()
-    if roll < same_chance:
+    if roll < 0.25:
         return m, m
-    if roll < same_chance + 0.35:
+    if roll < 0.6:
         n2 = rng.randint(1, max_states)
         return m, generate_random_model(rng.randrange(2**30), n2, rng.uniform(0.15, 0.7), sig)
     # perturbed copy: flip one edge or one prop

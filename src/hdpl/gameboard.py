@@ -23,7 +23,10 @@ from .syntax import (
     HdplError,
     Rel,
     Signature,
+    _TABLE,
+    _Term,
     _TokenStream,
+    _make,
     _parse_act_union,
     extend_signature,
     print_action,
@@ -60,44 +63,18 @@ class Edge(namedtuple("Edge", "kind arg")):
         return tuple.__new__(cls, (kind, arg))
 
 
-@dataclass(frozen=True)
-class GameboardTree:
+class GameboardTree(_Term):
     """A node: its signature and its (edge label, child) pairs in order.
 
-    `parse_tree` and `complete_tree` build each distinct subtree once, so
-    equal subtrees are one object and memos keyed by node identity share
-    their work. The hash is computed once, at construction."""
+    Hash-consed in the term intern table: equal trees are one object, `==`
+    and `hash` are identity, and memos keyed by node identity share work."""
 
-    sig: Signature
-    children: tuple[tuple[Edge, "GameboardTree"], ...] = ()
+    __slots__ = ("sig", "children")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.sig, self.children)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if not isinstance(other, GameboardTree):
-            return NotImplemented
-        return dag_equal(
-            self, other, lambda t: ((t._hash, t.sig, [e for e, _ in t.children]), [c for _, c in t.children])
-        )
-
-
-def dag_equal(a, b, split) -> bool:
-    """Structural equality of two DAGs, walked with a stack, each pair of
-    objects once: `split(node)` gives the node's own fields and its children."""
-    stack, seen = [(a, b)], set()
-    while stack:
-        a, b = stack.pop()
-        if a is not b and (id(a), id(b)) not in seen:
-            seen.add((id(a), id(b)))
-            (fa, ka), (fb, kb) = split(a), split(b)
-            if fa != fb or len(ka) != len(kb):
-                return False
-            stack += zip(ka, kb)
-    return True
+    def __new__(cls, sig: Signature, children: tuple[tuple[Edge, GameboardTree], ...] = ()):
+        # the signature's fields, not the signature: tuples of strings hash in C
+        key = (cls, sig.nominals, sig.relations, sig.props, sig.bound_vars, children)
+        return (ref := _TABLE.get(key)) and ref() or _make(cls, key, sig, children)
 
 
 def leaf(sig: Signature) -> GameboardTree:
@@ -262,7 +239,9 @@ def parse_tree(text: str, sig: Signature, frag: FragmentConfig | None = None) ->
     checked as the tables take them in; an invalid tree raises TreeError."""
     ts = _TokenStream(text)
     toks = ts.tokens
-    # keys hold a signature by id, as one call meets one per binding depth
+    # a cache before the intern table, keyed on a signature by id (one per
+    # binding depth): it saves a constructor call per repeat, without which
+    # finite-games requests ran ~7% slower, and marks the build that checks siblings
     nodes: dict = {}  # (signature id, children) -> node
     edges: dict = {}  # (kind, arg) -> Edge, checked when added
     labels: list = []  # (tokens, action) of the first dia labels parsed

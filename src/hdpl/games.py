@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .checker import SignatureMismatchError, game_property
-from .gameboard import KINDS, Edge, GameboardTree, dag_equal, edge_text
+from .gameboard import KINDS, Edge, GameboardTree, edge_text, leaf
 from .kripke import KripkeModel, PointedModel, Successors, expand, interpret_action
 from .syntax import (
     And,
@@ -85,7 +85,19 @@ def _gs_split(g):
 
 
 def _gs_eq(self, other) -> bool:
-    return dag_equal(self, other, _gs_split) if type(other) is type(self) else NotImplemented
+    """Structural equality, walked with a stack, each pair of objects once."""
+    if type(other) is not type(self):
+        return NotImplemented
+    stack, seen = [(self, other)], set()
+    while stack:
+        a, b = stack.pop()
+        if a is not b and (id(a), id(b)) not in seen:
+            seen.add((id(a), id(b)))
+            (fa, ka), (fb, kb) = _gs_split(a), _gs_split(b)
+            if fa != fb or len(ka) != len(kb):
+                return False
+            stack += zip(ka, kb)
+    return True
 
 
 GSLeaf.__eq__ = GSPart.__eq__ = GSNode.__eq__ = _gs_eq  # the dataclass hashes stay
@@ -559,27 +571,23 @@ def normal_form(s: Sentence, sig: Signature, frag: FragmentConfig) -> NormalForm
     report = validate_in_fragment(s, frag)
     if not report.ok:
         raise FragmentViolationError(report.violations[0][1])
-    nodes: dict[GameboardTree, GameboardTree] = {}
-
-    def node(scope: Signature, children: tuple = ()) -> GameboardTree:  # one object per distinct subtree
-        return nodes.setdefault(tree := GameboardTree(scope, children), tree)
 
     def rec(t: Sentence, scope: Signature, env: dict[str, str]) -> tuple[GameboardTree, Callable]:
         if isinstance(t, (Prop, Nom)):
             basic = Nom(env.get(t.name, t.name)) if isinstance(t, Nom) else t
             idx = basic_sentences(scope).index(basic)
-            return node(scope), lambda g, i=idx: g.signs[i][1]
+            return leaf(scope), lambda g, i=idx: g.signs[i][1]
         if isinstance(t, Neg):
             tr, p = rec(t.body, scope, env)
             return tr, lambda g, p=p: not p(g)
         if isinstance(t, And):
             if not t.items:
-                return node(scope), lambda g: True
+                return leaf(scope), lambda g: True
             # group equal subtrees so idle branches stay pairwise distinct
             groups: dict[GameboardTree, list[Callable]] = {}
             for tr, p in (rec(item, scope, env) for item in t.items):
                 groups.setdefault(tr, []).append(p)
-            tree = node(scope, tuple((Edge("idle"), gtr) for gtr in groups))
+            tree = GameboardTree(scope, tuple((Edge("idle"), gtr) for gtr in groups))
             all_preds = list(groups.values())
 
             def pred(g, all_preds=all_preds):
@@ -602,7 +610,7 @@ def normal_form(s: Sentence, sig: Signature, frag: FragmentConfig) -> NormalForm
         # some member of the only part satisfies the body: exact on at and
         # store parts, which hold one member
         tr0, p = rec(t.body, inner, env)
-        return node(scope, ((label, tr0),)), lambda g, p=p: any(p(m) for m in g.parts[0].members)
+        return GameboardTree(scope, ((label, tr0),)), lambda g, p=p: any(p(m) for m in g.parts[0].members)
 
     tree, pred = rec(s, sig, {})
     return NormalForm(tree=tree, contains=pred)

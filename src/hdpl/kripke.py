@@ -79,6 +79,9 @@ class KripkeModel:
             if not props <= prop_set:
                 raise ModelError(f"state '{w}' carries undeclared props {sorted(props - prop_set)}")
             val[w] = props
+        extra = set(self.valuation) - state_set
+        if extra:
+            raise ModelError(f"valuation for unknown states: {sorted(extra)}")
         object.__setattr__(self, "valuation", val)
 
     def __hash__(self):  # pragma: no cover - models are not meant to be hashed

@@ -18,6 +18,8 @@ Terms are immutable and hash-consed (Filliatre & Conchon, "Type-safe modular
 hash-consing", ML Workshop 2006): while a term lives, building one with equal
 fields returns it, so equal terms are one object and `==` and `hash` are
 identity. Each term renders its canonical text once, on its first print.
+Gameboard trees (`hdpl.gameboard`) share the intern table, and so `==` is
+`is` on trees too.
 """
 
 from __future__ import annotations
@@ -204,6 +206,8 @@ class FragmentConfig:
 # Terms. The intern table maps (class, fields), a field that is a term by its
 # id, to a weak reference, so it keeps no term alive; a dead term's entry is
 # dropped by the callback. A live entry's ids are its live term's children's.
+# A gameboard tree's key holds its children tuple, whose subtrees hash by id:
+# the node holds that tuple anyway, so the entry keeps nothing alive longer.
 
 _TABLE: dict[tuple, "_Ref"] = {}
 _new, _set = object.__new__, object.__setattr__

@@ -1,12 +1,13 @@
 """Helpers the tests share that the library itself never calls: symbol
 renamings of sentences and models, canonical binder names, the reduct of an
 expansion, random sentences, actions and rooted models, occurrence counts
-and pruning of gameboard trees, and readings of the omega module's families
-by state names."""
+and pruning of gameboard trees, a memo-free minimax over the finite game's
+moves, and readings of the omega module's families by state names."""
 
 import random
 
 from hdpl.gameboard import GameboardTree, leaf
+from hdpl.games import GameState, game_step, legal_moves
 from hdpl.kripke import KripkeModel, ModelError, PointedModel, generate_random_model, is_rooted
 from hdpl.omega import BackAndForthSystem, LBisimFamily
 from hdpl.syntax import (
@@ -210,13 +211,35 @@ def count_nodes(tr: GameboardTree) -> int:
 
 
 def prune_to_height(tr: GameboardTree, height: int) -> GameboardTree:
-    """The tree cut off at `height`, rebuilt with one object per occurrence."""
+    """The tree cut off at `height`, rebuilt node by node."""
     if height <= 0:
         return leaf(tr.sig)
     return GameboardTree(
         tr.sig,
         tuple((label, prune_to_height(child, height - 1)) for label, child in tr.children),
     )
+
+
+def game_loss_depth(gs: GameState) -> int | None:
+    """The fewest rounds in which the challenger forces a loss from `gs`, a
+    state with no open round, or None when the survivor answers every line:
+    a plain minimax over `legal_moves` and `game_step`, with no memo, so it
+    keys nothing by tree node (exponential in the tree height)."""
+    if gs.lost:
+        return 0
+    best = None
+    for move in legal_moves(gs, "abelard"):
+        after = game_step(gs, move)
+        answers = [game_step(after, a) for a in legal_moves(after, "eloise")] if after.pending else [after]
+        deepest = 0
+        for answer in answers:
+            depth = game_loss_depth(answer)
+            if depth is None:
+                break  # this answer survives: the option is refuted
+            deepest = max(deepest, depth)
+        else:
+            best = 1 + deepest if best is None else min(best, 1 + deepest)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import re
@@ -5,7 +6,7 @@ import re
 import pytest
 
 from hdpl import fixtures as fx
-from hdpl import gameboard
+from hdpl import gameboard, syntax
 from hdpl.corpus import FRAGMENTS, default_actions, random_tree, small_signature
 from hdpl.gameboard import (
     Edge,
@@ -27,6 +28,7 @@ from hdpl.syntax import (
     Star,
     Union,
     extend_signature,
+    extend_signature_with,
     parse_action,
     print_action,
 )
@@ -501,9 +503,10 @@ def occurrences(tr):
 
 
 def assert_maximally_shared(tr):
-    """Equal subtrees are one object: as many objects as distinct subtrees."""
+    """Equal subtrees are one object: as many objects as subtrees distinct by
+    signature and text."""
     nodes = list(occurrences(tr))
-    assert len({id(node) for node in nodes}) == len(set(nodes))
+    assert len({id(node) for node in nodes}) == len({(node.sig, print_tree(node)) for node in nodes})
 
 
 class TestSharing:
@@ -534,16 +537,64 @@ class TestSharing:
         # one object per (signature, height): bound-variable counts 0..3-h at height h
         assert len({id(node) for node in occurrences(tr)}) == 4 + 3 + 2 + 1
 
-    def test_shared_tree_equals_unshared_copy(self):
+    def test_rebuilt_tree_is_the_shared_tree(self):
         tr = complete_tree(SIG, FULL, 3, (Rel("l"),))
-        copy = prune_to_height(tr, 3)
-        assert copy == tr and hash(copy) == hash(tr)
-        assert len({id(node) for node in occurrences(copy)}) == count_nodes(tr)
+        assert prune_to_height(tr, 3) is tr
+        assert prune_to_height(tr, 2) is complete_tree(SIG, FULL, 2, (Rel("l"),))
 
     def test_duplicate_idle_edges_still_reported(self):
         with pytest.raises(TreeError) as err:
             parse_tree("(branch (idle (dia l leaf)) (idle (dia l leaf)))", SIG, FULL)
         assert str(err.value) == "invalid tree: duplicate idle edge (same subtree) at root/1:idle"
+
+
+class TestInterning:
+    """Trees share the term intern table, keyed on the signature's fields and
+    the children tuple: equal trees are one object, whichever `Signature`
+    object they were built over, and the table keeps no dead tree."""
+
+    def test_equal_signatures_give_one_tree(self):
+        a, b = Signature(("k",), ("l",), ("p",)), Signature(("k",), ("l",), ("p",))
+        assert a is not b and leaf(a) is leaf(b)
+        down_a = GameboardTree(a, ((Edge("down"), leaf(extend_signature(a)[0])),))
+        assert down_a is GameboardTree(b, ((Edge("down"), leaf(extend_signature_with(b, "x0"))),))
+
+    def test_one_field_apart_gives_distinct_trees(self):
+        base = Signature(("k",), ("l",), ("p",))
+        sigs = [
+            base,
+            Signature(("k",), ("l",), ("p", "q")),
+            Signature((), ("l",), ("p",)),
+            Signature((), ("l",), ("k", "p")),  # k a prop, not a nominal
+            Signature(("k",), ("l", "m"), ("p",)),
+            Signature(("k",), ("l",), ("p",), ("x0",)),
+        ]
+        leaves = [leaf(sig) for sig in sigs]
+        assert len(set(leaves)) == len(sigs)
+        assert all(tr.sig == sig for tr, sig in zip(leaves, sigs))
+        child = GameboardTree(base, ((Edge("idle"), leaf(base)),))
+        trees = [
+            GameboardTree(base, ((Edge("dia", Rel("l")), leaf(base)),)),
+            GameboardTree(base, ((Edge("dia", Star(Rel("l"))), leaf(base)),)),
+            GameboardTree(base, ((Edge("at", "k"), leaf(base)),)),
+            GameboardTree(base, ((Edge("idle"), leaf(base)),)),
+            GameboardTree(base, ((Edge("idle"), child),)),
+            GameboardTree(base, ((Edge("idle"), leaf(base)), (Edge("idle"), child))),
+            GameboardTree(base, ((Edge("idle"), child), (Edge("idle"), leaf(base)))),
+        ]
+        assert len(set(trees)) == len(trees)
+
+    def test_dead_trees_leave_the_table(self):
+        gc.collect()
+        before = len(syntax._TABLE)
+        rng = random.Random(7)
+        trees = [random_tree(rng, small_signature(rng), f, default_actions(f)) for f in FRAGMENTS * 200]
+        trees += [complete_tree(small_signature(rng), f, 3, default_actions(f)) for f in FRAGMENTS]
+        assert len(syntax._TABLE) > before + 400
+        assert all(type(ref) is syntax._Ref and ref() is not None for ref in syntax._TABLE.values())
+        del trees
+        gc.collect()
+        assert len(syntax._TABLE) == before
 
 
 class TestDeepTrees:
@@ -564,30 +615,23 @@ class TestDeepTrees:
         assert tr == leaf(SIG)
 
     def test_deep_chains_compare(self):
-        # equal chains from separate parses share no node, so == walks them
+        # equal chains from separate parses are one object
         depth = 10000
         chain = "(idle " * depth + "{}" + ")" * depth
         a, b = parse_tree(chain.format("leaf"), SIG), parse_tree(chain.format("leaf"), SIG)
-        assert a is not b and a == b and hash(a) == hash(b)
+        assert a is b
         c = parse_tree(chain.format("(dia l leaf)"), SIG)
-        assert a != c and c != a and c == parse_tree(chain.format("(dia l leaf)"), SIG)
+        assert a is not c and a != c and c is parse_tree(chain.format("(dia l leaf)"), SIG)
 
-    def test_deep_chains_differing_at_the_bottom_compare_unequal_by_structure(self):
-        # with every cached hash forced equal, the walk itself must reach the
-        # bottom edge, whose labels differ
+    def test_deep_chains_differing_at_the_bottom_are_distinct(self):
         def chain(action):
             node = GameboardTree(SIG, ((Edge("dia", action), leaf(SIG)),))
             for _ in range(10000):
                 node = GameboardTree(SIG, ((Edge("idle"), node),))
-            nodes = [node]
-            while nodes:
-                n = nodes.pop()
-                object.__setattr__(n, "_hash", 0)
-                nodes.extend(child for _, child in n.children)
             return node
 
-        assert chain(Rel("l")) == chain(Rel("l"))
-        assert chain(Rel("l")) != chain(Star(Rel("l")))
+        assert chain(Rel("l")) is chain(Rel("l"))
+        assert chain(Rel("l")) is not chain(Star(Rel("l")))
 
     def test_problem_deep_in_a_chain(self):
         depth = 10000

@@ -60,7 +60,7 @@ from hdpl.syntax import (
 )
 from oracle_char import oracle_char_formula
 from oracle_ef import oracle_ef_solve
-from support import canonical_vars, prune_to_height, random_sentence
+from support import canonical_vars, game_loss_depth, prune_to_height, random_sentence
 
 SIG = fx.SIG_P
 FULL = FragmentConfig.full()
@@ -341,11 +341,6 @@ class TestEfSolve:
             checked += 1
 
 
-def unshared(tr):
-    """A copy of `tr` in which every occurrence of a subtree is its own object."""
-    return GameboardTree(tr.sig, tuple((label, unshared(child)) for label, child in tr.children))
-
-
 # the fragments and tree actions of the benchmark's finite games
 FINITE_GAMES = [
     ("diamond,store", (Rel("l"),)),
@@ -365,17 +360,16 @@ def agreeing_pair(rng, sig, max_states):
 
 
 class TestSharedSubtrees:
-    """Parsed and complete trees share equal subtrees; the memos of `ef_solve`
-    and `char_formula`, keyed by node identity, then solve each once. Their
-    results must equal those on an unshared copy of the tree."""
+    """Parsed and complete trees share equal subtrees, and the memos of
+    `ef_solve`, keyed by node identity, solve each once. Its winner and loss
+    depth must be those of a memo-free minimax over `legal_moves` and
+    `game_step` (`support.game_loss_depth`), which keys nothing by node."""
 
     @staticmethod
-    def assert_same_results(shared, left, right):
-        copy = unshared(shared)
-        assert copy == shared and copy is not shared
-        assert ef_solve(shared, left, right) == ef_solve(copy, left, right)
-        for pm in (left, right):
-            assert char_formula(shared, pm) == char_formula(copy, pm)
+    def assert_same_results(tr, left, right):
+        res = ef_solve(tr, left, right)
+        depth = game_loss_depth(start_game(tr, left, right))
+        assert (res.winner, res.loss_depth) == ("eloise" if depth is None else "abelard", depth)
 
     @pytest.mark.parametrize("fragment, actions", FINITE_GAMES, ids=[f for f, _ in FINITE_GAMES])
     def test_complete_tree_texts_of_the_finite_games(self, fragment, actions):
@@ -386,10 +380,9 @@ class TestSharedSubtrees:
                 sig = small_signature(rng)
                 text = print_tree(complete_tree(sig, f, height, actions))
                 tr = parse_tree(text, sig, f)
+                assert tr is complete_tree(sig, f, height, actions)
                 assert tr.children[0][1] is tr.children[-1][1]  # the idle and last dia child
-                left, right = agreeing_pair(rng, sig, max_states)
-                self.assert_same_results(tr, left, right)
-                self.assert_same_results(complete_tree(sig, f, height, actions), left, right)
+                self.assert_same_results(tr, *agreeing_pair(rng, sig, max_states))
 
     def test_random_trees_and_pairs(self):
         rng = random.Random(23)

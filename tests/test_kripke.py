@@ -185,9 +185,10 @@ class TestConstruction:
             (("a",), {"k": "a", "j": "a"}, {}, {}, "interpretation for undeclared names: ['j']"),
             (("a",), {"k": "a"}, {"r": frozenset()}, {}, "interpretation for undeclared relations: ['r']"),
             (("a",), {"k": "a"}, {}, {"a": frozenset({"q"})}, "state 'a' carries undeclared props ['q']"),
+            (("a",), {"k": "a"}, {}, {"c": frozenset({"p"}), "b": frozenset()}, "valuation for unknown states: ['b', 'c']"),
         ],
         ids=["no-states", "duplicate-states", "nominal-missing", "nominal-unknown-state", "undeclared-name",
-             "undeclared-relation", "undeclared-prop"],
+             "undeclared-relation", "undeclared-prop", "valuation-unknown-state"],
     )
     def test_invalid_models_rejected(self, states, nominals, relations, valuation, message):
         with pytest.raises(ModelError) as err:
