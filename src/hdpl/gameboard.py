@@ -72,8 +72,7 @@ class GameboardTree(_Term):
     __slots__ = ("sig", "children")
 
     def __new__(cls, sig: Signature, children: tuple[tuple[Edge, GameboardTree], ...] = ()):
-        # the signature's fields, not the signature: tuples of strings hash in C
-        key = (cls, sig.nominals, sig.relations, sig.props, sig.bound_vars, children)
+        key = (cls, sig, children)
         return (ref := _TABLE.get(key)) and ref() or _make(cls, key, sig, children)
 
 
@@ -120,7 +119,7 @@ def validate_tree(tr: GameboardTree, frag: FragmentConfig) -> TreeReport:
     reported, at every path it occurs on.
     """
     problems: list[str] = []
-    clean: set[int] = set()
+    clean: set[GameboardTree] = set()
 
     def spell(path) -> str:
         steps = []
@@ -152,13 +151,13 @@ def validate_tree(tr: GameboardTree, frag: FragmentConfig) -> TreeReport:
                 else:
                     problems.append(f"child signature changes across {edge_text(label)} at {spell(here)}")
             problems.extend(f"{p} at {spell(here)}" for p in _label_problems(node.sig, label, frag))
-            if id(child) not in clean:
+            if child not in clean:
                 stack.append((child, here, len(problems), set(), enumerate(child.children)))
                 break
         else:
             stack.pop()
             if len(problems) == before:
-                clean.add(id(node))
+                clean.add(node)
     return TreeReport(not problems, tuple(problems))
 
 
@@ -234,15 +233,11 @@ def print_tree(tr: GameboardTree) -> str:
 def parse_tree(text: str, sig: Signature, frag: FragmentConfig | None = None) -> GameboardTree:
     """Parse the text format against a root signature, in one loop over the
     tokens with an explicit stack, so trees may nest as deeply as memory
-    allows. Each distinct subtree is built once, and each dia label met
-    before is not parsed again. With a fragment, labels and siblings are
-    checked as the tables take them in; an invalid tree raises TreeError."""
+    allows. Equal subtrees are one node, and each dia label met before is
+    not parsed again. With a fragment, labels are checked as the edge table
+    takes them in and siblings as a node closes; an invalid tree raises TreeError."""
     ts = _TokenStream(text)
     toks = ts.tokens
-    # a cache before the intern table, keyed on a signature by id (one per
-    # binding depth): it saves a constructor call per repeat, without which
-    # finite-games requests ran ~7% slower, and marks the build that checks siblings
-    nodes: dict = {}  # (signature id, children) -> node
     edges: dict = {}  # (kind, arg) -> Edge, checked when added
     labels: list = []  # (tokens, action) of the first dia labels parsed
     stack: list = []  # open nodes, innermost last: [signature, branch?, children]
@@ -260,8 +255,7 @@ def parse_tree(text: str, sig: Signature, frag: FragmentConfig | None = None) ->
             if tok != "leaf":
                 ts.fail(f"expected 'leaf' or '(', found {tok!r}", i)
             i += 1
-            key = (id(sig), ())
-            node = nodes.get(key) or nodes.setdefault(key, GameboardTree(sig, ()))
+            node = GameboardTree(sig, ())
             while stack:  # `node` is the child of the innermost open node's last edge
                 sig, branch, children = stack[-1]
                 children[-1] = (children[-1], node)
@@ -274,12 +268,9 @@ def parse_tree(text: str, sig: Signature, frag: FragmentConfig | None = None) ->
                     ts.fail(f"expected ')', found {toks[i + 1]!r}", i + 1)
                 i += 2 if branch else 1
                 stack.pop()
-                key = (id(sig), tuple(children))
-                node = nodes.get(key)
-                if node is None:
-                    node = nodes[key] = GameboardTree(sig, key[1])
-                    if frag is not None:  # the edge table checked the labels; siblings are left
-                        valid = valid and len({(e, c) if e.kind == "idle" else e for e, c in children}) == len(children)
+                node = GameboardTree(sig, tuple(children))
+                if frag is not None:  # the edge table checked the labels; siblings are left
+                    valid = valid and len({(e, c) if e.kind == "idle" else e for e, c in children}) == len(children)
             else:
                 break
         # an edge of the innermost open node starts at token i: its label

@@ -219,13 +219,14 @@ def _type_pass(m: KripkeModel, table: dict[tuple, int], memo: dict):
     node, the state's basic profile, which environment states equal it, and
     per child edge the child's id, or on a dia or exists edge the set of
     child ids; `table` maps each type to its id, in order of first visit, so
-    a type's children have smaller ids. By induction over the tree two
-    configurations get one id iff they satisfy the same game sentence. The
-    recursion takes one frame per tree level."""
+    a type's children have smaller ids. By induction over the tree one id
+    means one game sentence. The converse holds on observing trees only: a
+    type also records the profile and equalities at internal nodes, where
+    game sentences record none. The recursion takes one frame per level."""
     succ, states, profile = m.succ, m.states, m.profiles
 
     def tid(node: GameboardTree, w: str, env: tuple[str, ...]) -> int:
-        key = (id(node), w, env)
+        key = (node, w, env)
         got = memo.get(key)
         if got is not None:
             return got
@@ -403,8 +404,8 @@ def ef_solve(tr: GameboardTree, left: PointedModel, right: PointedModel) -> EfRe
         configuration, right configuration), with its first answer of
         greatest rank: the trace step and the position it leads to."""
         for i, (label, child) in enumerate(node.children):
-            ls = [(p, Lmemo[id(child), w, e], (w, e)) for p, w, e in _moves(Lm, Lm.succ, node, label, *Lc)]
-            rs = [(q, Rmemo[id(child), v, f], (v, f)) for q, v, f in _moves(Rm, Rm.succ, node, label, *Rc)]
+            ls = [(p, Lmemo[child, w, e], (w, e)) for p, w, e in _moves(Lm, Lm.succ, node, label, *Lc)]
+            rs = [(q, Rmemo[child, v, f], (v, f)) for q, v, f in _moves(Rm, Rm.succ, node, label, *Rc)]
             if _holds_a_set(label):
                 options = [("left", x, rs) for x in ls] + [("right", y, ls) for y in rs]
             else:
@@ -454,7 +455,6 @@ class GameState:
     tree: GameboardTree
     left: PointedModel
     right: PointedModel
-    history: tuple[TraceStep, ...] = ()
     pending: AbelardMove | None = None  # the open half of a dia or exists round
     lost: bool = False  # property violated after a completed round
 
@@ -503,7 +503,7 @@ def game_step(gs: GameState, move) -> GameState:
     if isinstance(move, EloiseMove):
         return _complete_round(gs, gs.pending, move.target)
     if move.side is not None:
-        return GameState(gs.tree, gs.left, gs.right, gs.history, pending=move)
+        return GameState(gs.tree, gs.left, gs.right, pending=move)
     return _complete_round(gs, move, None)
 
 
@@ -525,8 +525,7 @@ def _complete_round(gs: GameState, move: AbelardMove, answer: str | None) -> Gam
         return pm  # idle
 
     left, right = advance(gs.left, "left"), advance(gs.right, "right")
-    step = TraceStep(move.edge_index, edge_text(label), move.side, move.target, answer)
-    return GameState(child, left, right, gs.history + (step,), lost=not game_property(left, right))
+    return GameState(child, left, right, lost=not game_property(left, right))
 
 
 def replay_trace(tr: GameboardTree, left: PointedModel, right: PointedModel, trace) -> GameState:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import random
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -242,53 +243,54 @@ def find_isomorphism(pm: PointedModel, pn: PointedModel) -> dict[str, str] | Non
     if len(m.states) != len(n.states):
         return None
 
-    def profile(model: KripkeModel, w: str) -> tuple:
-        noms = tuple(name for name in model.sig.point_names() if model.nominal_interp[name] == w)
-        degs = tuple(
-            (
-                sum(1 for a, _ in model.relation_interp[r] if a == w),
-                sum(1 for _, b in model.relation_interp[r] if b == w),
-            )
-            for r in model.sig.relations
-        )
-        return (model.valuation[w], noms, degs)
+    def tables(model: KripkeModel) -> tuple[dict, dict]:
+        """Each state's successors and predecessors under each relation in
+        turn, side `s ^ 1` the converse of side `s`; and its profile."""
+        adj = {w: [set() for _ in range(2 * len(model.sig.relations))] for w in model.states}
+        for i, r in enumerate(model.sig.relations):
+            for a, b in model.relation_interp[r]:
+                adj[a][2 * i].add(b)
+                adj[b][2 * i + 1].add(a)
+        names = model.sig.point_names()
+        noms = {w: tuple(x for x in names if model.nominal_interp[x] == w) for w in model.states}
+        return adj, {w: (model.valuation[w], noms[w], tuple(map(len, adj[w]))) for w in model.states}
 
-    prof_m = {w: profile(m, w) for w in m.states}
-    prof_n = {v: profile(n, v) for v in n.states}
-    if sorted(prof_m.values()) != sorted(prof_n.values()):
+    (adj_m, prof_m), (adj_n, prof_n) = tables(m), tables(n)
+    if Counter(prof_m.values()) != Counter(prof_n.values()):
         return None
 
     order = [pm.current] + [w for w in m.states if w != pm.current]
+    index_n = {v: i for i, v in enumerate(n.states)}
+    h, back = {}, {}  # each level's current choice, and its inverse
 
-    def consistent(h: dict[str, str], w: str, v: str) -> bool:
-        if prof_m[w] != prof_n[v]:
-            return False
-        for r in m.sig.relations:
-            rel_n = n.relation_interp[r]
-            rel_m = m.relation_interp[r]
-            for w2, v2 in h.items():
-                if ((w, w2) in rel_m) != ((v, v2) in rel_n):
-                    return False
-                if ((w2, w) in rel_m) != ((v2, v) in rel_n):
-                    return False
-            if ((w, w) in rel_m) != ((v, v) in rel_n):
-                return False
-        return True
+    def consistent(w: str, v: str) -> bool:
+        """Whether `w` -> `v` keeps every edge between `w` and a mapped state,
+        read from the mapped neighbours of `w` and of `v`."""
+        return prof_m[w] == prof_n[v] and all(
+            (w in a) == (v in b) and all(h[x] in b for x in a if x in h) and all(back[y] in a for y in b if y in back)
+            for a, b in zip(adj_m[w], adj_n[v])
+        )
+
+    def candidates(k: int):
+        """The unused states of `n`, in its order, for `order[k]`, drawn once
+        the levels above are mapped: with a mapped neighbour, only states
+        next to its image can be consistent."""
+        near = next(((x, s) for s, side in enumerate(adj_m[order[k]]) for x in side if x in h), None)
+        pool = n.states if near is None else sorted(adj_n[h[near[0]]][near[1] ^ 1], key=index_n.__getitem__)
+        yield from (v for v in pool if v not in back)
 
     # backtracking on an explicit stack: per level of `order`, an iterator over
-    # the candidates it has not tried yet; `h` holds each level's current choice
-    h: dict[str, str] = {}
+    # the candidates it has not tried yet
     stack = [iter([pn.current])]
     while stack and len(h) < len(order):
         w = order[len(stack) - 1]
-        h.pop(w, None)  # back from a deeper level that failed: undo this level's choice
-        v = next((v for v in stack[-1] if consistent(h, w, v)), None)
+        back.pop(h.pop(w, None), None)  # back from a deeper level that failed: undo this level's choice
+        v = next((v for v in stack[-1] if consistent(w, v)), None)
         if v is None:
             stack.pop()
         else:
-            h[w] = v
-            used = set(h.values())
-            stack.append(iter([x for x in n.states if x not in used]))
+            h[w], back[v] = v, w
+            stack.append(candidates(len(stack)))
     result = h if stack else None
     if result is not None and not verify_isomorphism(pm, pn, result):
         raise ModelError("internal error: isomorphism failed re-verification")

@@ -18,8 +18,8 @@ Terms are immutable and hash-consed (Filliatre & Conchon, "Type-safe modular
 hash-consing", ML Workshop 2006): while a term lives, building one with equal
 fields returns it, so equal terms are one object and `==` and `hash` are
 identity. Each term renders its canonical text once, on its first print.
-Gameboard trees (`hdpl.gameboard`) share the intern table, and so `==` is
-`is` on trees too.
+Signatures and gameboard trees (`hdpl.gameboard`) share the intern table,
+and so `==` is `is` on them too, and memos key on them directly.
 """
 
 from __future__ import annotations
@@ -68,93 +68,7 @@ class SignatureError(HdplError):
 
 
 # ---------------------------------------------------------------------------
-# Signatures and fragments
-
-
-@dataclass(frozen=True)
-class Signature:
-    """Finite vocabulary: nominals, binary relation names, propositional
-    symbols, plus the ordered list of variables added by extensions. Every
-    name is an identifier and no keyword, so that a formula can refer to it."""
-
-    nominals: tuple[str, ...] = ()
-    relations: tuple[str, ...] = ()
-    props: tuple[str, ...] = ()
-    bound_vars: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "nominals", tuple(self.nominals))
-        object.__setattr__(self, "relations", tuple(self.relations))
-        object.__setattr__(self, "props", tuple(self.props))
-        object.__setattr__(self, "bound_vars", tuple(self.bound_vars))
-        pools = self.nominals + self.relations + self.props + self.bound_vars
-        if len(set(pools)) != len(pools):
-            raise SignatureError(f"signature name pools are not disjoint: {pools}")
-        bad = [x for x in pools if x in _KEYWORDS or not _IDENT_RE.fullmatch(x)]
-        if bad:
-            raise SignatureError(f"signature names that no formula can refer to: {bad}")
-
-    def all_names(self) -> frozenset[str]:
-        return frozenset(self.nominals + self.relations + self.props + self.bound_vars)
-
-    def point_names(self) -> tuple[str, ...]:
-        """Names usable as state designators: nominals plus bound variables."""
-        return self.nominals + self.bound_vars
-
-    @cached_property
-    def _extension(self) -> tuple["Signature", str]:
-        # the names to avoid, inherited: an extension leaves out its own x{n}
-        # when n was its first try, as the searches below it start past n
-        taken = self.__dict__.get("_taken") or self.all_names()
-        n = first = len(self.bound_vars)
-        while f"x{n}" in taken:
-            n += 1
-        var = f"x{n}"
-        if n > first:
-            taken = taken | {var}
-        ext = object.__new__(Signature)  # var is fresh: no disjointness check
-        # the fields alone: what `self` caches does not hold for `ext`
-        ext.__dict__.update(nominals=self.nominals, relations=self.relations, props=self.props,
-                            bound_vars=self.bound_vars + (var,), _taken=taken)
-        return ext, var
-
-    @cached_property
-    def _basics(self) -> tuple["Sentence", ...]:
-        return tuple(Nom(n) for n in self.point_names()) + tuple(Prop(p) for p in self.props)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Signature":
-        if not isinstance(d, dict):
-            raise SignatureError(f"a signature must be an object, not {type(d).__name__}")
-        pools = {}
-        for key in ("nominals", "relations", "props", "bound_vars"):
-            names = d.get(key, ())
-            if not isinstance(names, (list, tuple)) or not all(isinstance(x, str) for x in names):
-                raise SignatureError(f"signature field '{key}' must be a list of names")
-            pools[key] = tuple(names)
-        return cls(**pools)
-
-    def to_dict(self) -> dict:
-        return {
-            "nominals": list(self.nominals),
-            "relations": list(self.relations),
-            "props": list(self.props),
-            "bound_vars": list(self.bound_vars),
-        }
-
-
-def extend_signature(sig: Signature) -> tuple[Signature, str]:
-    """Extend `sig` with a fresh variable, named x0, x1, ... by extension
-    depth (skipping ahead if a declared symbol already uses the name). The
-    result is computed once per signature object and then returned again."""
-    return sig._extension
-
-
-def extend_signature_with(sig: Signature, var: str) -> Signature:
-    """Extend `sig` with an explicitly named fresh variable."""
-    if var in sig.all_names():
-        raise SignatureError(f"variable name '{var}' collides with a declared symbol")
-    return Signature(sig.nominals, sig.relations, sig.props, sig.bound_vars + (var,))
+# Fragments
 
 
 @dataclass(frozen=True)
@@ -203,11 +117,12 @@ class FragmentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Terms. The intern table maps (class, fields), a field that is a term by its
-# id, to a weak reference, so it keeps no term alive; a dead term's entry is
-# dropped by the callback. A live entry's ids are its live term's children's.
-# A gameboard tree's key holds its children tuple, whose subtrees hash by id:
-# the node holds that tuple anyway, so the entry keeps nothing alive longer.
+# Terms and signatures. The intern table maps (class, fields), a field that is
+# a term by its id, to a weak reference, so it keeps no term alive; a dead
+# term's entry is dropped by the callback. A live entry's ids are its live
+# term's children's. A signature's key holds its name tuples, a gameboard
+# tree's its signature and children tuple, whose subtrees hash by id: the
+# value holds those anyway, so the entry keeps nothing alive longer.
 
 _TABLE: dict[tuple, "_Ref"] = {}
 _new, _set = object.__new__, object.__setattr__
@@ -239,7 +154,8 @@ def _make(cls, key: tuple, *values):
 
 class _Term:
     """An immutable, hash-consed term. The first print caches its canonical
-    text in `_txt` and the precedence of that text's outer form in `_prec`."""
+    text in `_txt` and the precedence of that text's outer form in `_prec`.
+    Its fields are its class's slots but a `__dict__` for cached properties."""
 
     __slots__ = ("__weakref__", "_txt", "_prec")
 
@@ -249,10 +165,94 @@ class _Term:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+        return type(self), tuple(getattr(self, f) for f in self.__slots__ if f != "__dict__")
 
     def __repr__(self):
-        return type(self).__name__ + "(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__) + ")"
+        fields = (f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f != "__dict__")
+        return type(self).__name__ + "(" + ", ".join(fields) + ")"
+
+
+class Signature(_Term):
+    """Finite vocabulary: nominals, binary relation names, propositional
+    symbols, plus the ordered list of variables added by extensions. Every
+    name is an identifier and no keyword, so that a formula can refer to it.
+    Interned like terms, the checks on a table miss only: equal signatures
+    are one object, and `==` and `hash` are identity."""
+
+    __slots__ = ("nominals", "relations", "props", "bound_vars", "__dict__")
+
+    def __new__(cls, nominals=(), relations=(), props=(), bound_vars=()):
+        key = (cls, tuple(nominals), tuple(relations), tuple(props), tuple(bound_vars))
+        if (ref := _TABLE.get(key)) and (got := ref()):
+            return got
+        pools = key[1] + key[2] + key[3] + key[4]
+        if len(set(pools)) != len(pools):
+            raise SignatureError(f"signature name pools are not disjoint: {pools}")
+        bad = [x for x in pools if x in _KEYWORDS or not _IDENT_RE.fullmatch(x)]
+        if bad:
+            raise SignatureError(f"signature names that no formula can refer to: {bad}")
+        return _make(cls, key, *key[1:])
+
+    def all_names(self) -> frozenset[str]:
+        return frozenset(self.nominals + self.relations + self.props + self.bound_vars)
+
+    def point_names(self) -> tuple[str, ...]:
+        """Names usable as state designators: nominals plus bound variables."""
+        return self.nominals + self.bound_vars
+
+    @cached_property
+    def _extension(self) -> tuple["Signature", str]:
+        # the names to avoid, inherited: an extension leaves out its own x{n}
+        # when n was its first try, as the searches below it start past n
+        taken = self.__dict__.get("_taken") or self.all_names()
+        n = first = len(self.bound_vars)
+        while f"x{n}" in taken:
+            n += 1
+        var = f"x{n}"
+        if n > first:
+            taken = taken | {var}
+        key = (Signature, self.nominals, self.relations, self.props, self.bound_vars + (var,))
+        ext = _make(Signature, key, *key[1:])  # var is fresh: no checks
+        ext.__dict__.setdefault("_taken", taken)
+        return ext, var
+
+    @cached_property
+    def _basics(self) -> tuple["Sentence", ...]:
+        return tuple(Nom(n) for n in self.point_names()) + tuple(Prop(p) for p in self.props)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Signature":
+        if not isinstance(d, dict):
+            raise SignatureError(f"a signature must be an object, not {type(d).__name__}")
+        pools = {}
+        for key in ("nominals", "relations", "props", "bound_vars"):
+            names = d.get(key, ())
+            if not isinstance(names, (list, tuple)) or not all(isinstance(x, str) for x in names):
+                raise SignatureError(f"signature field '{key}' must be a list of names")
+            pools[key] = tuple(names)
+        return cls(**pools)
+
+    def to_dict(self) -> dict:
+        return {
+            "nominals": list(self.nominals),
+            "relations": list(self.relations),
+            "props": list(self.props),
+            "bound_vars": list(self.bound_vars),
+        }
+
+
+def extend_signature(sig: Signature) -> tuple[Signature, str]:
+    """Extend `sig` with a fresh variable, named x0, x1, ... by extension
+    depth (skipping ahead if a declared symbol already uses the name). The
+    result is computed once per signature object and then returned again."""
+    return sig._extension
+
+
+def extend_signature_with(sig: Signature, var: str) -> Signature:
+    """Extend `sig` with an explicitly named fresh variable."""
+    if var in sig.all_names():
+        raise SignatureError(f"variable name '{var}' collides with a declared symbol")
+    return Signature(sig.nominals, sig.relations, sig.props, sig.bound_vars + (var,))
 
 
 class _Named(_Term):

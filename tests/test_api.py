@@ -78,3 +78,30 @@ def unreferenced_members(root: Path) -> list[str]:
 
 def test_no_unreferenced_members():
     assert unreferenced_members(ROOT) == []
+
+
+def id_uses(root: Path) -> list[str]:
+    """Every use of the builtin `id` in `root/src/hdpl/*.py`, a call or an
+    argument such as `map(id, ...)`, as `module:scope`, sorted."""
+    found = []
+
+    def visit(node, scope: str, module: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id == "id":
+                found.append(f"{module}:{scope}")
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}".lstrip(".") if named else scope, module)
+
+    for path in sorted((root / "src" / "hdpl").glob("*.py")):
+        visit(ast.parse(path.read_text()), "", path.name)
+    return sorted(found)
+
+
+def test_id_keys_only_in_the_term_table_and_gs_eq():
+    # interned values (terms, signatures, trees) hash by identity, so a memo
+    # keys on them directly; `id` stays where a key must not hold its value
+    # alive (the term intern keys) and in `_gs_eq`'s set of compared pairs
+    assert id_uses(ROOT) == ["games.py:_gs_eq"] * 4 + [
+        "syntax.py:And.__new__", "syntax.py:_Pair.__new__", "syntax.py:_Pair.__new__",
+        "syntax.py:_Tagged.__new__", "syntax.py:_Unary.__new__",
+    ]

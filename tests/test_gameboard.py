@@ -549,13 +549,13 @@ class TestSharing:
 
 
 class TestInterning:
-    """Trees share the term intern table, keyed on the signature's fields and
-    the children tuple: equal trees are one object, whichever `Signature`
-    object they were built over, and the table keeps no dead tree."""
+    """Trees share the term intern table, keyed on the signature, itself
+    interned, and the children tuple: equal trees are one object, and the
+    table keeps no dead tree."""
 
     def test_equal_signatures_give_one_tree(self):
         a, b = Signature(("k",), ("l",), ("p",)), Signature(("k",), ("l",), ("p",))
-        assert a is not b and leaf(a) is leaf(b)
+        assert a is b and leaf(a) is leaf(b)
         down_a = GameboardTree(a, ((Edge("down"), leaf(extend_signature(a)[0])),))
         assert down_a is GameboardTree(b, ((Edge("down"), leaf(extend_signature_with(b, "x0"))),))
 

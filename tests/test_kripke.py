@@ -163,6 +163,39 @@ class TestIsomorphism:
         left, right = PointedModel(m, "r"), PointedModel(n, "r")
         assert find_isomorphism(left, right) == {"r": "r", "a": "z", "b": "x", "c": "y"}
 
+    def test_state_order_does_not_hide_an_isomorphism(self):
+        # profiles {p} and {q} are incomparable as sets: sorting them left
+        # each list in its own order, so one model against itself listed in
+        # another order was reported not isomorphic
+        sig = Signature(relations=("l",), props=("p", "q"))
+        m = KripkeModel(sig, ("a", "b"), {}, {}, {"a": {"p"}, "b": {"q"}})
+        n = KripkeModel(sig, ("b", "a"), {}, {}, {"a": {"p"}, "b": {"q"}})
+        assert find_isomorphism(PointedModel(m, "a"), PointedModel(n, "a")) == {"a": "a", "b": "b"}
+
+    def test_agrees_with_brute_force(self):
+        import itertools
+
+        rng = random.Random(5)
+        sig = Signature(nominals=("k",), relations=("l", "m"), props=("p", "q"))
+        found = 0
+        for _ in range(300):
+            m = generate_random_model(rng, rng.randint(1, 5), rng.random(), sig)
+            names = [f"t{i}" for i in range(len(m.states))]
+            rng.shuffle(names)
+            ren = dict(zip(m.states, names))
+            rels = {r: {(ren[a], ren[b]) for a, b in m.relation_interp[r]} for r in sig.relations}
+            if rng.random() < 0.3:
+                rels["l"] ^= {(rng.choice(names), rng.choice(names))}
+            n = KripkeModel(sig, tuple(rng.sample(names, len(names))), {"k": ren[m.nominal_interp["k"]]}, rels,
+                            {ren[w]: m.valuation[w] for w in m.states})
+            left, right = PointedModel(m, m.states[0]), PointedModel(n, rng.choice(names))
+            exists = any(verify_isomorphism(left, right, dict(zip(m.states, perm)))
+                         for perm in itertools.permutations(n.states))
+            h = find_isomorphism(left, right)
+            assert (h is not None) == exists and (h is None or verify_isomorphism(left, right, h))
+            found += exists
+        assert 50 < found < 250
+
     def test_verify_rejects_wrong_maps(self):
         m = KripkeModel(SIG, ("a", "b", "c"), {"k": "a"}, {}, {})
         two = KripkeModel(SIG, ("a", "b"), {"k": "a"}, {}, {})

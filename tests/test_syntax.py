@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import pickle
 import random
@@ -231,6 +232,105 @@ class TestSignature:
     def test_from_dict_rejects_malformed_input(self, d):
         with pytest.raises(SignatureError):
             Signature.from_dict(d)
+
+
+class TestSignatureInterning:
+    """Signatures are interned in the term table: equal signatures are one
+    object, the checks run when the table has none, and the table keeps no
+    dead signature."""
+
+    FIELDS = (("k",), ("l",), ("p",))
+
+    def test_equal_signatures_are_one_object(self):
+        a = Signature(*self.FIELDS)
+        assert not dataclasses.is_dataclass(Signature)
+        assert Signature(*self.FIELDS) is a and Signature(["k"], ["l"], ["p"], []) is a
+        assert Signature(nominals=("k",), relations=("l",), props=("p",), bound_vars=()) is a
+        assert repr(a) == "Signature(nominals=('k',), relations=('l',), props=('p',), bound_vars=())"
+
+    def test_one_field_apart_gives_distinct_signatures(self):
+        base = Signature(*self.FIELDS)
+        others = [Signature(("k",), ("l",), ("p",), ("x0",)), Signature((), ("l",), ("k", "p")),
+                  Signature(("k",), (), ("p",)), Signature(("k",), ("l",), ("p", "q"))]
+        assert len({base, *others}) == 5
+        assert others[0].bound_vars == ("x0",) and extend_signature(base)[0] is others[0]
+        assert others[1].nominals == () and others[1].props == ("k", "p")
+
+    def test_from_dict_returns_the_signature(self):
+        s = Signature(*self.FIELDS)
+        assert Signature.from_dict(s.to_dict()) is s
+
+    def test_pickle_and_deepcopy_return_the_signature(self):
+        s = extend_signature(Signature(*self.FIELDS))[0]
+        assert pickle.loads(pickle.dumps(s)) is s
+        assert copy.deepcopy(s) is s and copy.copy(s) is s
+        with pytest.raises(AttributeError):
+            s.props = ()
+
+    def test_extensions_are_one_object(self):
+        s = Signature(*self.FIELDS)
+        ext, v = extend_signature(s)
+        assert v == "x0" and ext is extend_signature_with(s, "x0")
+        assert extend_signature(ext)[0] is extend_signature_with(extend_signature_with(s, "x0"), "x1")
+
+    def test_store_round_moves_models_to_the_child_signature(self):
+        from hdpl.games import AbelardMove, game_step, start_game
+        from hdpl.gameboard import parse_tree
+        from hdpl.kripke import KripkeModel, PointedModel
+
+        sig = Signature(*self.FIELDS)
+        m = KripkeModel(sig, ("a", "b"), {"k": "b"}, {"l": {("a", "b")}}, {"a": {"p"}})
+        tr = parse_tree("(down (dia l leaf))", sig)
+        gs = game_step(start_game(tr, PointedModel(m, "a"), PointedModel(m, "a")), AbelardMove(0))
+        assert gs.tree is tr.children[0][1]
+        assert gs.left.model.sig is gs.tree.sig is gs.right.model.sig
+
+    def test_dead_signatures_leave_the_table(self):
+        gc.collect()
+        before = len(syntax._TABLE)
+        s = Signature(("dead_k",), ("dead_l",), ("dead_p",))
+        ext = extend_signature(s)[0]
+        assert len(syntax._TABLE) == before + 2
+        refs = [weakref.ref(s), weakref.ref(ext)]
+        del s, ext
+        gc.collect()
+        assert [r() for r in refs] == [None, None] and len(syntax._TABLE) == before
+
+    def test_threads_building_equal_signatures_get_one_object(self):
+        # more threads than cores, switching often, build the same new
+        # signatures and their extensions; a lost race in the table would
+        # give one thread a second object
+        fields = [((f"k{i}",), ("l",), (f"p{i}", f"q{i}")) for i in range(300)]
+        built = [None] * 6
+        start = threading.Barrier(len(built))
+
+        def work(i):
+            start.wait(timeout=60)
+            built[i] = [(s, extend_signature(extend_signature(s)[0])[0]) for s in (Signature(*f) for f in fields)]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(built))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert all(a is b and ea is eb for other in built for (a, ea), (b, eb) in zip(other, built[0]))
+        assert built[0][0][1] is Signature(("k0",), ("l",), ("p0", "q0"), ("x0", "x1"))
+
+    @pytest.mark.parametrize(
+        "fields", [(("a",), (), ("a",)), ((), ("true",), ()), ((), (), ("p",), ("p",)), (("1k",),)]
+    )
+    def test_invalid_signature_raises_on_every_attempt(self, fields):
+        before = len(syntax._TABLE)
+        for _ in range(2):
+            with pytest.raises(SignatureError):
+                Signature(*fields)
+        assert len(syntax._TABLE) == before
 
 
 class TestFragmentConfig:
